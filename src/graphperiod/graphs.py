@@ -13,8 +13,29 @@ import enum
 from dataclasses import dataclass
 
 
+# Largest graphs accepted from outside the program (files, named specs).
+# Every exact polynomial here is exponential in the edge count, so these
+# bound what is built, not what can be solved.
+MAX_VERTICES = 10_000
+MAX_EDGES = 100_000
+
+
 class GraphFormatError(ValueError):
     """Malformed graph text input."""
+
+
+class GraphTooLargeError(ValueError):
+    """A graph beyond MAX_VERTICES or MAX_EDGES was requested."""
+
+
+def _check_size(vertices: int, edges: int):
+    """Refuse sizes beyond MAX_VERTICES / MAX_EDGES before anything is built."""
+    if vertices > MAX_VERTICES:
+        raise GraphTooLargeError(
+            f"{vertices} vertices exceed the limit of {MAX_VERTICES}"
+        )
+    if edges > MAX_EDGES:
+        raise GraphTooLargeError(f"{edges} edges exceed the limit of {MAX_EDGES}")
 
 
 class EdgeClass(enum.Enum):
@@ -68,7 +89,8 @@ def parse_edge_list(text: str) -> MultiGraph:
 
     ``#`` starts a comment, the first significant line is ``n <vertices>``,
     every following significant line is ``e <u> <v>``.  Parallel ``e`` lines
-    create parallel edges and ``e v v`` creates a loop.
+    create parallel edges and ``e v v`` creates a loop.  Sizes beyond
+    MAX_VERTICES / MAX_EDGES raise GraphTooLargeError.
     """
     vertex_count = None
     edges = []
@@ -83,6 +105,7 @@ def parse_edge_list(text: str) -> MultiGraph:
                     f"line {lineno}: expected 'n <vertex count>' header, got {line!r}"
                 )
             vertex_count = int(fields[1])
+            _check_size(vertex_count, 0)
             continue
         if fields[0] != "e" or len(fields) != 3:
             raise GraphFormatError(
@@ -92,6 +115,7 @@ def parse_edge_list(text: str) -> MultiGraph:
             raise GraphFormatError(
                 f"line {lineno}: endpoints must be non-negative integers, got {line!r}"
             )
+        _check_size(vertex_count, len(edges) + 1)
         u, v = int(fields[1]), int(fields[2])
         if u >= vertex_count or v >= vertex_count:
             raise GraphFormatError(
@@ -118,7 +142,9 @@ FRUCHT_LCF = (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)
 
 def named_graph(name: str, *params: int) -> MultiGraph:
     """Build a named graph: empty n, path n, cycle n, complete n, theta k,
-    petersen, frucht.  Parameters count vertices (theta counts edges)."""
+    petersen, frucht.  Parameters count vertices (theta counts edges).
+    Sizes beyond MAX_VERTICES / MAX_EDGES raise GraphTooLargeError before
+    any edge is built."""
 
     def need(count):
         if len(params) != count:
@@ -128,30 +154,35 @@ def named_graph(name: str, *params: int) -> MultiGraph:
         need(1)
         if params[0] < 0:
             raise ValueError("empty n requires n >= 0")
+        _check_size(params[0], 0)
         return MultiGraph(params[0])
     if name == "path":
         need(1)
         n = params[0]
         if n < 1:
             raise ValueError("path n requires n >= 1")
+        _check_size(n, n - 1)
         return MultiGraph(n, tuple((i, i + 1) for i in range(n - 1)))
     if name == "cycle":
         need(1)
         n = params[0]
         if n < 2:
             raise ValueError("cycle n requires n >= 2")
+        _check_size(n, n)
         return MultiGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
     if name == "complete":
         need(1)
         n = params[0]
         if n < 1:
             raise ValueError("complete n requires n >= 1")
+        _check_size(n, n * (n - 1) // 2)
         return MultiGraph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
     if name == "theta":
         need(1)
         k = params[0]
         if k < 1:
             raise ValueError("theta k requires k >= 1")
+        _check_size(2, k)
         return MultiGraph(2, ((0, 1),) * k)
     if name == "petersen":
         need(0)
@@ -300,22 +331,27 @@ def component_subgraphs(g: MultiGraph):
     return pieces
 
 
-def bridges(g: MultiGraph):
-    """Edge ids whose deletion increases the component count.
+def blocks(g: MultiGraph):
+    """Edge ids of every block (maximal 2-connected piece), each sorted, the
+    list ordered by smallest edge id.
 
-    Loops and parallel edges are never bridges.  Iterative lowlink DFS that
-    refuses to walk back along the tree edge id, so parallel edges count as
-    back edges.
+    A loop is a block of its own, so is a bridge; parallel edges share a
+    block.  Isolated vertices are in no block.  Iterative lowlink DFS with an
+    edge stack that refuses to walk back along the tree edge id, so parallel
+    edges count as back edges.
     """
     n = g.vertex_count
     adj = [[] for _ in range(n)]
+    out = []
     for eid, (u, v) in enumerate(g.endpoints):
-        if u != v:
+        if u == v:
+            out.append([eid])
+        else:
             adj[u].append((v, eid))
             adj[v].append((u, eid))
     disc = [-1] * n
     low = [0] * n
-    out = []
+    edge_stack = []
     timer = 0
     for root in range(n):
         if disc[root] != -1:
@@ -332,20 +368,49 @@ def bridges(g: MultiGraph):
                     pv = stack[-1][0]
                     if low[v] < low[pv]:
                         low[pv] = low[v]
-                    if low[v] > disc[pv]:
-                        out.append(in_edge)
+                    if low[v] >= disc[pv]:
+                        # pv separates v's subtree: its edges form one block
+                        block = []
+                        while True:
+                            e = edge_stack.pop()
+                            block.append(e)
+                            if e == in_edge:
+                                break
+                        block.sort()
+                        out.append(block)
                 continue
             w, eid = step
             if eid == in_edge:
                 continue
             if disc[w] == -1:
+                edge_stack.append(eid)
                 disc[w] = low[w] = timer
                 timer += 1
                 stack.append((w, eid, iter(adj[w])))
-            elif disc[w] < low[v]:
-                low[v] = disc[w]
+            elif disc[w] < disc[v]:
+                # back edge to an ancestor, pushed once from the lower end
+                edge_stack.append(eid)
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
     out.sort()
     return out
+
+
+def bridges(g: MultiGraph):
+    """Edge ids whose deletion increases the component count: the blocks
+    made of one edge that is not a loop.  Parallel edges are never bridges."""
+    return sorted(
+        b[0] for b in blocks(g) if len(b) == 1 and len(set(g.endpoints[b[0]])) == 2
+    )
+
+
+def edge_subgraph(g: MultiGraph, edge_ids) -> MultiGraph:
+    """The listed edges, in the given order, on the vertices they touch;
+    those vertices keep their relative order."""
+    pairs = [g.endpoints[e] for e in edge_ids]
+    touched = sorted({v for pair in pairs for v in pair})
+    new_id = {v: i for i, v in enumerate(touched)}
+    return MultiGraph(len(touched), tuple((new_id[u], new_id[v]) for u, v in pairs))
 
 
 def classify_edge(g: MultiGraph, e: int) -> EdgeClass:

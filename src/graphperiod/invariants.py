@@ -2,14 +2,20 @@
 
 Three invariants of a multigraph G with r vertices, q edges and w components:
 
-* Tutte polynomial tau(x, y), by the bridge/loop/ordinary deletion-contraction
-  recursion with tau(edgeless) = 1, memoized on the exact canonical form; the
-  shifted form T(s, t) = tau(s+1, t+1) comes along for free.
+* Tutte polynomial tau(x, y), by one reduction-first deletion-contraction
+  recursion (after Haggard, Pearce & Royle, "Computing Tutte polynomials",
+  ACM TOMS 37, 2010): tau is multiplicative over blocks, so components, cut
+  vertices, loops (y) and bridges (x) are one split; two-vertex blocks,
+  cycles and maximal series paths have closed forms; only what remains is
+  memoized on the exact canonical form and split on a whole parallel class.
+  The shifted form T(s, t) = tau(s+1, t+1) is one binomial change of
+  variable.
 * Negami polynomial N(u, x, y) = sum over edge subsets Y of
   u^{components of (V, Y)} x^{q-|Y|} y^{|Y|}, by direct 2^q expansion or by
   converting the Tutte polynomial (the corank-nullity change of basis).
-* Chromatic polynomial P(lam), by its own deletion-contraction recursion and
-  by specializing N as (-1)^q N(lam, -1, 1).
+* Chromatic polynomial P(lam) = (-1)^{r-w} lam^w tau(1-lam, 0), by the same
+  recursion run on the line y = 0 (a loop gives 0, a parallel class counts
+  as one edge), and independently by specializing N as (-1)^q N(lam, -1, 1).
 
 The pairs of routes cross-check each other; the subset expansion is the
 ground-truth oracle for small graphs.
@@ -22,16 +28,19 @@ from dataclasses import dataclass
 
 from .graphs import (
     MultiGraph,
-    bridges,
+    blocks,
     canonical_key,
     component_count,
-    component_subgraphs,
-    contract_edge,
     contract_edges,
-    delete_edge,
     delete_edges,
+    edge_subgraph,
 )
-from .polynomials import Polynomial, divide_exact_monomial, substitute
+from .polynomials import (
+    Polynomial,
+    binomial_substitute,
+    divide_exact_monomial,
+    substitute,
+)
 
 TUTTE_CLASSIC_VARS = ("x", "y")
 TUTTE_SHIFTED_VARS = ("s", "t")
@@ -92,6 +101,7 @@ def default_subset_cap() -> int:
 # -- Tutte by deletion-contraction -----------------------------------------
 
 _ONE_XY = Polynomial.constant(TUTTE_CLASSIC_VARS, 1)
+_ZERO_XY = Polynomial.zero(TUTTE_CLASSIC_VARS)
 _X = Polynomial.variable(TUTTE_CLASSIC_VARS, "x")
 _Y = Polynomial.variable(TUTTE_CLASSIC_VARS, "y")
 
@@ -105,66 +115,140 @@ def clear_caches():
 
 
 def _default_chooser(g: MultiGraph) -> int:
-    """Ordinary edge with the largest endpoint degree sum (smallest id on
-    ties); loops and bridges are already stripped when this runs."""
+    """An edge at vertex 0, where earlier contractions merged, in its largest
+    parallel class; ties go to the other endpoint of larger degree, then to
+    the smallest id.  g is a block with no series path when this runs."""
     degree = [0] * g.vertex_count
-    for u, v in g.endpoints:
-        degree[u] += 1
-        degree[v] += 1
-    best, best_score = 0, -1
-    for e, (u, v) in enumerate(g.endpoints):
-        score = degree[u] + degree[v]
-        if score > best_score:
-            best, best_score = e, score
+    multiplicity: dict = {}
+    for pair in g.endpoints:
+        degree[pair[0]] += 1
+        degree[pair[1]] += 1
+        multiplicity[pair] = multiplicity.get(pair, 0) + 1
+    best, best_score = 0, None
+    for e, pair in enumerate(g.endpoints):
+        if pair[0] == 0:
+            score = (multiplicity[pair], degree[pair[1]])
+            if best_score is None or score > best_score:
+                best, best_score = e, score
     return best
 
 
-def _tau(g: MultiGraph, memo, chooser) -> Polynomial:
-    if g.edge_count == 0:
+def _x_series(k: int) -> Polynomial:
+    """1 + x + ... + x^(k-1)."""
+    return Polynomial(TUTTE_CLASSIC_VARS, {(i, 0): 1 for i in range(k)})
+
+
+def _y_series(k: int, y_zero: bool) -> Polynomial:
+    """1 + y + ... + y^(k-1), which is 1 on the line y = 0."""
+    if y_zero:
         return _ONE_XY
+    return Polynomial(TUTTE_CLASSIC_VARS, {(0, j): 1 for j in range(k)})
 
-    pieces = component_subgraphs(g)
-    if len(pieces) > 1:
-        result = _ONE_XY
-        for piece in pieces:
-            result = result * _tau(piece, memo, chooser)
-        return result
 
-    loops = [e for e, (u, v) in enumerate(g.endpoints) if u == v]
-    if loops:
-        return (_Y ** len(loops)) * _tau(delete_edges(g, loops), memo, chooser)
+def _tau(g: MultiGraph, memo, chooser, y_zero: bool) -> Polynomial:
+    """tau(G), or tau(G; x, 0) when ``y_zero``: the product over blocks."""
+    loops = bridge_count = 0
+    pieces = []
+    for block in blocks(g):
+        if len(block) > 1:
+            pieces.append(block)
+        elif g.endpoints[block[0]][0] == g.endpoints[block[0]][1]:
+            loops += 1
+        else:
+            bridge_count += 1
+    if loops and y_zero:
+        return _ZERO_XY
+    result = None
+    for block in pieces:
+        part = _tau_block(edge_subgraph(g, block), memo, chooser, y_zero)
+        result = part if result is None else result * part
+    monomial = Polynomial.monomial(TUTTE_CLASSIC_VARS, (bridge_count, loops))
+    if result is None:
+        return monomial
+    return result * monomial if bridge_count or loops else result
 
-    bridge_ids = bridges(g)
-    if bridge_ids:
-        rest = _tau(contract_edges(g, bridge_ids), memo, chooser)
-        return (_X ** len(bridge_ids)) * rest
 
-    # connected, loopless, bridgeless: every edge is ordinary
+def _tau_block(g: MultiGraph, memo, chooser, y_zero: bool) -> Polynomial:
+    """tau of a loopless 2-connected block with at least two edges."""
+    if g.vertex_count == 2:
+        # k parallel edges: x + y + ... + y^(k-1)
+        return _X + _y_series(g.edge_count, y_zero) - 1
+    if y_zero:
+        # on y = 0 a parallel class is worth one edge
+        seen = set()
+        dupes = [e for e, pair in enumerate(g.endpoints) if pair in seen or seen.add(pair)]
+        if dupes:
+            g = delete_edges(g, dupes)
+
+    incident = [[] for _ in range(g.vertex_count)]
+    for e, (u, v) in enumerate(g.endpoints):
+        incident[u].append(e)
+        incident[v].append(e)
+    if all(len(inc) == 2 for inc in incident):
+        # cycle of k edges: x + ... + x^(k-1) + y
+        cycle = _x_series(g.edge_count) - 1
+        return cycle if y_zero else cycle + _Y
+
+    path = _series_path(g, incident)
+    if path:
+        # T = (1 + x + ... + x^(k-1)) T(G - P) + T(G / P)
+        rest = _tau(delete_edges(g, path), memo, chooser, y_zero)
+        joined = _tau(contract_edges(g, path), memo, chooser, y_zero)
+        return _x_series(len(path)) * rest + joined
+
     key = canonical_key(g)
     cached = memo.get(key)
     if cached is not None:
         return cached
-    e = chooser(g)
-    result = _tau(delete_edge(g, e), memo, chooser) + _tau(
-        contract_edge(g, e), memo, chooser
-    )
+    u, v = g.endpoints[chooser(g)]
+    parallel = [e for e, pair in enumerate(g.endpoints) if pair == (u, v)]
+    # T = T(G - E) + (1 + y + ... + y^(k-1)) T(G / E) for the class E of e
+    result = _tau(delete_edges(g, parallel), memo, chooser, y_zero) + _y_series(
+        len(parallel), y_zero
+    ) * _tau(contract_edges(g, parallel), memo, chooser, y_zero)
     memo[key] = result
     return result
 
 
-def tutte_deletion_contraction(g: MultiGraph, *, chooser=None, cache=None) -> TuttePair:
-    """Tutte polynomial by the recursion: bridge -> x*tau(G/e), loop ->
-    y*tau(G-e), ordinary -> tau(G-e) + tau(G/e), edgeless -> 1.
+def _series_path(g: MultiGraph, incident):
+    """Edge ids of a maximal path through degree-2 vertices, or [] if no
+    vertex has degree 2.  In a 2-connected block that is not a cycle the
+    path runs between two distinct vertices of degree at least 3."""
+    start = next((v for v, inc in enumerate(incident) if len(inc) == 2), None)
+    if start is None:
+        return []
+    path = []
+    for first in incident[start]:
+        prev, e = start, first
+        while True:
+            path.append(e)
+            u, v = g.endpoints[e]
+            nxt = v if u == prev else u
+            if len(incident[nxt]) != 2:
+                break
+            a, b = incident[nxt]
+            prev, e = nxt, (b if a == e else a)
+    return path
 
-    The result is independent of the edge-selection order; ``chooser`` exists
-    so tests can prove that.  ``cache`` overrides the shared session memo
-    (pass a fresh dict to isolate a computation).
+
+def tutte_deletion_contraction(g: MultiGraph, *, chooser=None, cache=None) -> TuttePair:
+    """Tutte polynomial by the reduction-first recursion: blocks multiply
+    (loop -> y, bridge -> x), a two-vertex block of k edges is
+    x + y + ... + y^(k-1), a k-cycle x + ... + x^(k-1) + y, a maximal series
+    path P of k edges gives (1 + ... + x^(k-1)) tau(G-P) + tau(G/P), and
+    otherwise the parallel class E of the chosen edge gives
+    tau(G-E) + (1 + y + ... + y^(k-1)) tau(G/E); edgeless -> 1.
+
+    The result is independent of the edge-selection order; ``chooser`` (a
+    function from a block to one of its edge ids) exists so tests can prove
+    that.  ``cache`` overrides the shared session memo (pass a fresh dict to
+    isolate a computation).
     """
     memo = _tutte_cache if cache is None else cache
-    classic = _tau(g, memo, chooser or _default_chooser)
-    s_plus_1 = Polynomial(TUTTE_SHIFTED_VARS, {(1, 0): 1, (0, 0): 1})
-    t_plus_1 = Polynomial(TUTTE_SHIFTED_VARS, {(0, 1): 1, (0, 0): 1})
-    shifted = substitute(classic, {"x": s_plus_1, "y": t_plus_1}, TUTTE_SHIFTED_VARS)
+    classic = _tau(g, memo, chooser or _default_chooser, False)
+    shifted = binomial_substitute(
+        classic, {"x": (1, 1, "s"), "y": (1, 1, "t")}, TUTTE_SHIFTED_VARS
+    )
     return TuttePair(classic=classic, shifted=shifted)
 
 
@@ -318,40 +402,19 @@ def tutte_from_negami(n: NegamiPolynomial) -> Polynomial:
 # -- chromatic polynomial ----------------------------------------------------
 
 
-def _chromatic(g: MultiGraph, memo) -> Polynomial:
-    for u, v in g.endpoints:
-        if u == v:
-            return Polynomial.zero(CHROMATIC_VARS)
-
-    # parallel edges constrain colorings exactly like single ones
-    seen = set()
-    dupes = []
-    for e, pair in enumerate(g.endpoints):
-        if pair in seen:
-            dupes.append(e)
-        else:
-            seen.add(pair)
-    if dupes:
-        g = delete_edges(g, dupes)
-
-    if g.edge_count == 0:
-        return Polynomial.monomial(CHROMATIC_VARS, (g.vertex_count,))
-
-    key = canonical_key(g)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    e = _default_chooser(g)
-    result = _chromatic(delete_edge(g, e), memo) - _chromatic(contract_edge(g, e), memo)
-    memo[key] = result
-    return result
-
-
 def chromatic_deletion_contraction(g: MultiGraph, *, cache=None) -> Polynomial:
-    """Proper-coloring counting polynomial by P(G) = P(G-e) - P(G/e) with
-    P(edgeless on n) = λ^n; any loop forces the zero polynomial."""
+    """Proper-coloring counting polynomial (-1)^(r-w) λ^w tau(1-λ, 0), with
+    tau(x, 0) from the Tutte recursion run on the line y = 0; any loop forces
+    the zero polynomial.  ``cache`` overrides the shared session memo; its
+    entries hold tau(x, 0), so it must not be shared with the Tutte route."""
     memo = _chromatic_cache if cache is None else cache
-    return _chromatic(g, memo)
+    on_line = _tau(g, memo, _default_chooser, True)
+    value = binomial_substitute(
+        on_line, {"x": (1, -1, "λ"), "y": (0, 0, None)}, CHROMATIC_VARS
+    )
+    w = component_count(g)
+    sign = -1 if (g.vertex_count - w) % 2 else 1
+    return Polynomial(CHROMATIC_VARS, {(e + w,): sign * c for (e,), c in value.terms.items()})
 
 
 def chromatic_from_negami(n: NegamiPolynomial) -> Polynomial:

@@ -7,12 +7,22 @@ from itertools import combinations, product
 
 import pytest
 
-from graphperiod.graphs import MultiGraph, named_graph, spanning_subgraph_components
+from graphperiod.graphs import (
+    MultiGraph,
+    canonical_key,
+    contract_edge,
+    delete_edge,
+    delete_edges,
+    named_graph,
+    spanning_subgraph_components,
+)
 from graphperiod.families import (
     connected_simple_graphs,
     loop_parallel_variants,
     random_multigraph,
 )
+from graphperiod.invariants import CHROMATIC_VARS
+from graphperiod.polynomials import Polynomial
 from graphperiod.symmetry import Automorphism, automorphism_from_vertex_perm
 
 
@@ -45,6 +55,27 @@ def count_proper_colorings(g: MultiGraph, colors: int) -> int:
         if all(assignment[u] != assignment[v] for u, v in g.endpoints):
             total += 1
     return total
+
+
+def chromatic_by_own_recursion(g: MultiGraph, memo=None) -> Polynomial:
+    """Independent oracle: P(G) = P(G-e) - P(G/e) straight on the chromatic
+    polynomial, P(edgeless on n) = λ^n, a loop gives 0 and parallel edges
+    collapse; memoized on the canonical form, with no block split."""
+    memo = {} if memo is None else memo
+    if any(u == v for u, v in g.endpoints):
+        return Polynomial.zero(CHROMATIC_VARS)
+    seen = set()
+    dupes = [e for e, pair in enumerate(g.endpoints) if pair in seen or seen.add(pair)]
+    if dupes:
+        g = delete_edges(g, dupes)
+    if g.edge_count == 0:
+        return Polynomial.monomial(CHROMATIC_VARS, (g.vertex_count,))
+    key = canonical_key(g)
+    if key not in memo:
+        memo[key] = chromatic_by_own_recursion(
+            delete_edge(g, 0), memo
+        ) - chromatic_by_own_recursion(contract_edge(g, 0), memo)
+    return memo[key]
 
 
 def girth(g: MultiGraph) -> int:

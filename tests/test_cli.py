@@ -220,6 +220,16 @@ def test_bad_graph_file(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
+def test_oversized_graph_exits_2(tmp_path, capsys):
+    # refused by the size check before any graph is built
+    code, _, err = run(capsys, "compute", "tutte", "--graph", "cycle:100000000")
+    assert code == 2 and "limit" in err
+    path = tmp_path / "huge.graph"
+    path.write_text("n 100000000\n", encoding="utf-8")
+    code, _, err = run(capsys, "compute", "chromatic", "--graph", str(path))
+    assert code == 2 and "limit" in err
+
+
 def test_unknown_graph_spec(capsys):
     code, _, err = run(capsys, "compute", "tutte", "--graph", "nosuchgraph")
     assert code == 2 and "nosuchgraph" in err

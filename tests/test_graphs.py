@@ -7,15 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphperiod import graphs
 from graphperiod.graphs import (
+    MAX_EDGES,
+    MAX_VERTICES,
     EdgeClass,
     GraphFormatError,
+    GraphTooLargeError,
     MultiGraph,
+    blocks,
+    bridges,
     canonical_key,
     classify_edge,
     component_count,
     contract_edge,
     delete_edge,
+    edge_subgraph,
     named_graph,
     parse_edge_list,
     relabel,
@@ -63,6 +70,37 @@ def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(GraphFormatError) as err:
         parse_edge_list(text)
     assert fragment in str(err.value)
+
+
+def test_parse_refuses_oversized_header():
+    # refused at the header, before any vertex is built
+    with pytest.raises(GraphTooLargeError) as err:
+        parse_edge_list(f"n {MAX_VERTICES + 1}\ne 0 1")
+    assert str(MAX_VERTICES) in str(err.value)
+    parse_edge_list(f"n {MAX_VERTICES}")
+
+
+def test_parse_refuses_too_many_edges(monkeypatch):
+    # the limit is read at parse time; a small one stands in for MAX_EDGES
+    monkeypatch.setattr(graphs, "MAX_EDGES", 3)
+    assert parse_edge_list("n 2" + "\ne 0 1" * 3).edge_count == 3
+    with pytest.raises(GraphTooLargeError):
+        parse_edge_list("n 2" + "\ne 0 1" * 4)
+
+
+@pytest.mark.parametrize(
+    "name,param",
+    [
+        ("empty", MAX_VERTICES + 1),
+        ("path", MAX_VERTICES + 1),
+        ("cycle", 100_000_000),
+        ("complete", 1_000),  # 499,500 edges
+        ("theta", MAX_EDGES + 1),
+    ],
+)
+def test_named_graph_refuses_oversized(name, param):
+    with pytest.raises(GraphTooLargeError):
+        named_graph(name, param)
 
 
 def test_render_roundtrip():
@@ -180,6 +218,37 @@ def test_deletion_component_growth_matches_classification():
             grew = component_count(delete_edge(g, e)) - component_count(g)
             assert grew in (0, 1)
             assert (grew == 1) == (classify_edge(g, e) == EdgeClass.BRIDGE)
+
+
+def test_blocks_of_necklace_and_loops():
+    # two triangles sharing vertex 2, a pendant edge, a parallel pair, a loop
+    g = parse_edge_list(
+        "n 7\ne 0 1\ne 1 2\ne 2 0\ne 2 3\ne 3 4\ne 4 2\ne 4 5\ne 5 6\ne 5 6\ne 6 6"
+    )
+    assert blocks(g) == [[0, 1, 2], [3, 4, 5], [6], [7, 8], [9]]
+    assert bridges(g) == [6]
+
+
+def test_blocks_partition_edges_into_two_connected_pieces():
+    rng = random.Random(3)
+    for _ in range(50):
+        n = rng.randint(1, 7)
+        g = MultiGraph(
+            n,
+            tuple((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 10))),
+        )
+        parts = blocks(g)
+        assert sorted(e for part in parts for e in part) == list(range(g.edge_count))
+        for part in parts:
+            piece = edge_subgraph(g, part)
+            assert component_count(piece) == 1
+            # no cut vertex: deleting any vertex leaves the rest connected
+            if piece.vertex_count > 2:
+                for v in range(piece.vertex_count):
+                    kept = [(a, b) for a, b in piece.endpoints if v not in (a, b)]
+                    rest = edge_subgraph(MultiGraph(piece.vertex_count, tuple(kept)), range(len(kept)))
+                    assert rest.vertex_count == piece.vertex_count - 1
+                    assert component_count(rest) == 1
 
 
 # -- canonical keys ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from graphperiod.families import loop_parallel_variants
 from graphperiod.graphs import MultiGraph, is_connected, named_graph, parse_edge_list
 from graphperiod.invariants import (
     CHROMATIC_VARS,
@@ -20,7 +21,11 @@ from graphperiod.invariants import (
     tutte_from_negami,
 )
 from graphperiod.polynomials import Polynomial, parse_polynomial, substitute
-from conftest import count_proper_colorings, count_spanning_trees
+from conftest import (
+    chromatic_by_own_recursion,
+    count_proper_colorings,
+    count_spanning_trees,
+)
 
 
 def classic(text):
@@ -252,3 +257,90 @@ def test_spanning_tree_count_via_shifted_origin(route_family):
 def test_k4_spanning_trees():
     shifted = tutte_deletion_contraction(named_graph("complete", 4)).shifted
     assert shifted.coefficient((0, 0)) == 16
+
+
+def test_chromatic_matches_own_recursion(small_connected_family):
+    # the retired chromatic recursion as an oracle for the y = 0 route
+    for g in small_connected_family:
+        for variant in loop_parallel_variants(g):
+            assert chromatic_deletion_contraction(
+                variant, cache={}
+            ) == chromatic_by_own_recursion(variant), f"disagree on {variant!r}"
+
+
+# -- closed forms at corpus size --------------------------------------------------------------
+
+
+def x_series(k):
+    """1 + x + ... + x^(k-1) over the classic variables."""
+    return Polynomial(TUTTE_CLASSIC_VARS, {(i, 0): 1 for i in range(k)})
+
+
+def test_tutte_long_cycle():
+    expected = x_series(100) - 1 + classic("y")
+    assert tutte_deletion_contraction(named_graph("cycle", 100), cache={}).classic == expected
+
+
+def test_chromatic_long_cycle_and_path():
+    lam_minus_1 = lam("λ - 1")
+    assert chromatic_deletion_contraction(named_graph("cycle", 100), cache={}) == (
+        lam_minus_1**100 + lam_minus_1
+    )
+    assert chromatic_deletion_contraction(named_graph("path", 100), cache={}) == (
+        lam("λ") * lam_minus_1**99
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 40])
+def test_tutte_theta(k):
+    expected = Polynomial(TUTTE_CLASSIC_VARS, {(0, j): 1 for j in range(1, k)}) + classic("x")
+    assert tutte_deletion_contraction(named_graph("theta", k), cache={}).classic == expected
+
+
+def one_point_join(g1, g2):
+    """Identify vertex 0 of g2 with vertex 0 of g1."""
+    shift = g1.vertex_count - 1
+
+    def place(v):
+        return 0 if v == 0 else v + shift
+
+    joined = tuple((place(u), place(v)) for u, v in g2.endpoints)
+    return MultiGraph(g1.vertex_count + g2.vertex_count - 1, g1.endpoints + joined)
+
+
+def test_one_point_join_multiplies():
+    pieces = [
+        named_graph("petersen"),
+        named_graph("complete", 5),
+        named_graph("cycle", 30),
+        parse_edge_list("n 3\ne 0 1\ne 0 1\ne 1 2\ne 2 0\ne 2 2"),
+    ]
+    lam_var = lam("λ")
+    for g1 in pieces:
+        for g2 in pieces:
+            joined = one_point_join(g1, g2)
+            assert tutte_deletion_contraction(joined, cache={}).classic == (
+                tutte_deletion_contraction(g1, cache={}).classic
+                * tutte_deletion_contraction(g2, cache={}).classic
+            )
+            assert chromatic_deletion_contraction(joined, cache={}) * lam_var == (
+                chromatic_deletion_contraction(g1, cache={})
+                * chromatic_deletion_contraction(g2, cache={})
+            )
+
+
+def dodecahedron():
+    pattern = (10, 7, 4, -4, -7, 10, -4, 7, -7, 4)
+    edges = {(i, (i + 1) % 20) for i in range(20)}
+    for i in range(20):
+        j = (i + pattern[i % 10]) % 20
+        edges.add((min(i, j), max(i, j)))
+    return MultiGraph(20, tuple(sorted(edges)))
+
+
+def test_dodecahedron_evaluations():
+    g = dodecahedron()
+    assert g.edge_count == 30 and all(g.degree(v) == 3 for v in range(20))
+    tau = tutte_deletion_contraction(g, cache={}).classic
+    assert tau.evaluate({"x": 1, "y": 1}) == 5_184_000  # spanning trees
+    assert tau.evaluate({"x": 2, "y": 2}) == 2**30  # edge subsets
