@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import criteria as crit
 from . import invariants as inv
@@ -45,12 +45,10 @@ class CommandRequest:
     fold: bool = False
     classic: bool = False
     invariant: str = ""
-    route: str = "auto"
     criterion: str = ""
     assert_self_dual: bool = False
     use_oracle: bool = False
     oracle_action: str = ""
-    subset_cap: int = field(default_factory=inv.default_subset_cap)
     oracle_limit: int = DEFAULT_VERTEX_LIMIT
 
 
@@ -94,13 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graph", required=True, help="named spec or file path")
         p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument(
-            "--cap",
-            type=int,
-            default=None,
-            help="subset-expansion edge cap (default from "
-            f"{inv.SUBSET_CAP_ENV} or {inv.DEFAULT_SUBSET_CAP})",
-        )
-        p.add_argument(
             "--oracle-limit",
             type=int,
             default=DEFAULT_VERTEX_LIMIT,
@@ -121,12 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--classic",
         action="store_true",
         help="print tau(x,y) instead of the shifted T(s,t)",
-    )
-    p_compute.add_argument(
-        "--route",
-        choices=("auto", "expansion", "recursion"),
-        default="auto",
-        help="negami computation route",
     )
 
     p_check = sub.add_parser("check", help="run one criterion")
@@ -172,8 +157,6 @@ def request_from_args(args: argparse.Namespace) -> CommandRequest:
         json_output=args.json,
         oracle_limit=args.oracle_limit,
     )
-    if args.cap is not None:
-        request.subset_cap = args.cap
     if getattr(args, "p", None) is not None:
         request.prime = _check_prime(args.p)
     if getattr(args, "mod", None) is not None:
@@ -189,7 +172,6 @@ def request_from_args(args: argparse.Namespace) -> CommandRequest:
     request.fold = getattr(args, "fold", False)
     request.classic = getattr(args, "classic", False)
     request.invariant = getattr(args, "invariant", "")
-    request.route = getattr(args, "route", "auto")
     request.criterion = getattr(args, "criterion", "")
     request.assert_self_dual = getattr(args, "assert_self_dual", False)
     request.use_oracle = getattr(args, "oracle", False)
@@ -205,9 +187,7 @@ def _compute_polynomial(request: CommandRequest, g: MultiGraph):
         pair = inv.tutte_deletion_contraction(g)
         poly = pair.classic if request.classic else pair.shifted
     elif kind == "negami":
-        poly = inv.negami_polynomial(
-            g, route=request.route, cap=request.subset_cap
-        ).polynomial
+        poly = inv.negami_polynomial(g).polynomial
     else:
         poly = inv.chromatic_deletion_contraction(g)
     if request.modulus is not None:

@@ -244,29 +244,19 @@ def contract_edges(g: MultiGraph, edge_ids) -> MultiGraph:
     """Identify endpoints within each connected chunk of the selected edges
     (which must contain no loops), dropping the selected edges."""
     selected = sorted(set(edge_ids))
-    parent = list(range(g.vertex_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    labels = _component_labels(g, selected)
     for e in selected:
-        _check_edge(g, e)
         a, b = g.endpoints[e]
         if a == b:
             raise ValueError(f"cannot contract loop edge {e}")
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
 
-    # classes ordered by their smallest member keep indices stable
-    roots = sorted({find(v) for v in range(g.vertex_count)})
+    # each label is its class's smallest member, so ordering classes by
+    # label keeps indices stable
+    roots = sorted(set(labels))
     new_id = {root: i for i, root in enumerate(roots)}
     drop = set(selected)
     kept = tuple(
-        (new_id[find(u)], new_id[find(v)])
+        (new_id[labels[u]], new_id[labels[v]])
         for i, (u, v) in enumerate(g.endpoints)
         if i not in drop
     )
@@ -274,6 +264,8 @@ def contract_edges(g: MultiGraph, edge_ids) -> MultiGraph:
 
 
 def _component_labels(g: MultiGraph, edge_ids=None):
+    """The smallest vertex of each vertex's component of (V, edge_ids), all
+    edges when edge_ids is None."""
     parent = list(range(g.vertex_count))
 
     def find(x):
@@ -473,7 +465,9 @@ def _refine(n, adj, loops, colors):
         ncolors = new_count
 
 
-def _component_encoding(g: MultiGraph):
+def _adjacency(g: MultiGraph):
+    """(loops, adj): the loop count at each vertex, and for each vertex a
+    dict from every other neighbour to the number of edges joining them."""
     n = g.vertex_count
     loops = [0] * n
     adj = [dict() for _ in range(n)]
@@ -483,7 +477,12 @@ def _component_encoding(g: MultiGraph):
         else:
             adj[u][v] = adj[u].get(v, 0) + 1
             adj[v][u] = adj[v].get(u, 0) + 1
+    return loops, adj
 
+
+def _component_encoding(g: MultiGraph):
+    n = g.vertex_count
+    loops, adj = _adjacency(g)
     best = None
 
     def encode(colors):

@@ -1,4 +1,4 @@
-"""Graph polynomials computed by independent routes.
+"""Graph polynomials from one deletion-contraction recursion.
 
 Three invariants of a multigraph G with r vertices, q edges and w components:
 
@@ -11,19 +11,18 @@ Three invariants of a multigraph G with r vertices, q edges and w components:
   The shifted form T(s, t) = tau(s+1, t+1) is one binomial change of
   variable.
 * Negami polynomial N(u, x, y) = sum over edge subsets Y of
-  u^{components of (V, Y)} x^{q-|Y|} y^{|Y|}, by direct 2^q expansion or by
-  converting the Tutte polynomial (the corank-nullity change of basis).
+  u^{components of (V, Y)} x^{q-|Y|} y^{|Y|}, by converting the Tutte
+  polynomial of the same recursion (the corank-nullity change of basis).
 * Chromatic polynomial P(lam) = (-1)^{r-w} lam^w tau(1-lam, 0), by the same
   recursion run on the line y = 0 (a loop gives 0, a parallel class counts
   as one edge), and independently by specializing N as (-1)^q N(lam, -1, 1).
 
-The pairs of routes cross-check each other; the subset expansion is the
-ground-truth oracle for small graphs.
+The direct 2^q subset expansion of N is kept only as the ground-truth
+oracle that the recursion is tested against on small graphs.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .graphs import (
@@ -47,8 +46,7 @@ TUTTE_SHIFTED_VARS = ("s", "t")
 NEGAMI_VARS = ("u", "x", "y")
 CHROMATIC_VARS = ("λ",)
 
-SUBSET_CAP_ENV = "GRAPHPERIOD_SUBSET_CAP"
-DEFAULT_SUBSET_CAP = 24
+SUBSET_EXPANSION_MAX_EDGES = 24
 
 
 class SubsetCapExceededError(ValueError):
@@ -89,13 +87,6 @@ class NegamiPolynomial:
                 raise ValueError(
                     f"u-exponent {eu} outside {u_low}..{self.vertex_count}"
                 )
-
-
-def default_subset_cap() -> int:
-    raw = os.environ.get(SUBSET_CAP_ENV)
-    if raw is not None and raw.isdigit():
-        return int(raw)
-    return DEFAULT_SUBSET_CAP
 
 
 # -- Tutte by deletion-contraction -----------------------------------------
@@ -252,22 +243,21 @@ def tutte_deletion_contraction(g: MultiGraph, *, chooser=None, cache=None) -> Tu
     return TuttePair(classic=classic, shifted=shifted)
 
 
-# -- Negami by subset expansion ---------------------------------------------
+# -- Negami by subset expansion (the reference oracle) -----------------------
 
 
-def negami_subset_expansion(g: MultiGraph, *, cap=None) -> NegamiPolynomial:
+def negami_subset_expansion(g: MultiGraph) -> NegamiPolynomial:
     """Sum over all 2^q edge subsets Y of u^{w(V,Y)} x^{q-|Y|} y^{|Y|}.
 
-    Exponential; refuses when q exceeds ``cap`` (default 24, overridable via
-    the GRAPHPERIOD_SUBSET_CAP environment variable).
+    The independent reference that ``negami_polynomial`` is tested against.
+    Exponential; refuses when q exceeds SUBSET_EXPANSION_MAX_EDGES.
     """
-    if cap is None:
-        cap = default_subset_cap()
     q = g.edge_count
-    if q > cap:
+    if q > SUBSET_EXPANSION_MAX_EDGES:
         raise SubsetCapExceededError(
-            f"subset expansion over {q} edges exceeds the cap of {cap}; "
-            "use the deletion-contraction route (negami_from_tutte) instead"
+            f"subset expansion over {q} edges exceeds the cap of "
+            f"{SUBSET_EXPANSION_MAX_EDGES}; use the deletion-contraction route "
+            "(negami_polynomial) instead"
         )
     n = g.vertex_count
 
@@ -365,22 +355,12 @@ def negami_from_tutte(g: MultiGraph, *, cache=None) -> NegamiPolynomial:
     )
 
 
-def negami_polynomial(g: MultiGraph, *, route="auto", cap=None, cache=None) -> NegamiPolynomial:
-    """Dispatch between the expansion and recursion routes.
-
-    ``auto`` expands when q fits under the cap and falls back to the
-    recursion otherwise; both routes produce identical polynomials.
-    """
-    if route == "expansion":
-        return negami_subset_expansion(g, cap=cap)
-    if route == "recursion":
-        return negami_from_tutte(g, cache=cache)
-    if route == "auto":
-        effective = default_subset_cap() if cap is None else cap
-        if g.edge_count <= min(effective, 16):
-            return negami_subset_expansion(g, cap=effective)
-        return negami_from_tutte(g, cache=cache)
-    raise ValueError(f"unknown route {route!r}")
+def negami_polynomial(g: MultiGraph, *, cache=None) -> NegamiPolynomial:
+    """The Negami polynomial of g, converted from the memoized Tutte
+    polynomial (``negami_from_tutte``); ``cache`` is passed on to the Tutte
+    recursion.  ``negami_subset_expansion`` gives the same polynomial by an
+    independent route and is kept as its test oracle."""
+    return negami_from_tutte(g, cache=cache)
 
 
 def tutte_from_negami(n: NegamiPolynomial) -> Polynomial:

@@ -338,18 +338,23 @@ def fold_variable(a: ModPolynomial, name: str) -> ModPolynomial:
 
 
 def power_mod(a: ModPolynomial, k: int, fold_names) -> ModPolynomial:
-    """a**k with exponent folding applied after every multiplication.
+    """a**k folded in each of ``fold_names``, for k a power of the modulus p
+    (k = 1 included); any other k raises ValueError.
 
-    Folding each listed variable as we go keeps intermediate exponents inside
-    the 1..p-1 window, so the term table stays small even for large k.
+    Modulo p the Frobenius map is a ring morphism and c^p == c, so
+    (sum c*m)^k == sum c*m^k: every exponent is multiplied by k and the
+    result is folded once, with no polynomial products.
     """
+    p = a.modulus
     if not isinstance(k, int) or k < 1:
         raise ValueError("exponent must be a positive integer")
-    fold_names = tuple(fold_names)
-    result = a.fold(fold_names)
-    for _ in range(k - 1):
-        result = (result * a).fold(fold_names)
-    return result
+    rest = k
+    while rest % p == 0:
+        rest //= p
+    if rest != 1:
+        raise ValueError(f"exponent {k} is not a power of the modulus {p}")
+    scaled = {tuple(e * k for e in exps): c for exps, c in a.terms.items()}
+    return ModPolynomial(Polynomial(a.variables, scaled), p).fold(fold_names)
 
 
 def substitute(a: Polynomial, mapping: dict, variables=None) -> Polynomial:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import MultiGraph
+from .graphs import MultiGraph, _adjacency, _refine
 from .polynomials import is_prime
 
 DEFAULT_VERTEX_LIMIT = 32
@@ -128,31 +128,6 @@ def automorphism_from_vertex_perm(g: MultiGraph, vertex_perm) -> Automorphism:
     return h
 
 
-def _refined_colors(g: MultiGraph):
-    n = g.vertex_count
-    loops = [0] * n
-    adj = [dict() for _ in range(n)]
-    for u, v in g.endpoints:
-        if u == v:
-            loops[u] += 1
-        else:
-            adj[u][v] = adj[u].get(v, 0) + 1
-            adj[v][u] = adj[v].get(u, 0) + 1
-    colors = [0] * n
-    ncolors = 1 if n else 0
-    while True:
-        sigs = []
-        for v in range(n):
-            row = sorted((colors[u], m) for u, m in adj[v].items())
-            sigs.append((colors[v], loops[v], tuple(row)))
-        ranking = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        new_colors = [ranking[sig] for sig in sigs]
-        if len(ranking) == ncolors:
-            return colors, loops, adj
-        colors = new_colors
-        ncolors = len(ranking)
-
-
 def _vertex_automorphisms(g: MultiGraph):
     """All vertex permutations preserving loop counts and adjacency
     multiplicities, by backtracking over a BFS vertex order with refined
@@ -161,7 +136,8 @@ def _vertex_automorphisms(g: MultiGraph):
     if n == 0:
         yield ()
         return
-    colors, loops, adj = _refined_colors(g)
+    loops, adj = _adjacency(g)
+    colors = _refine(n, adj, loops, [0] * n)
 
     order = []
     seen = [False] * n

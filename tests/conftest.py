@@ -22,7 +22,7 @@ from graphperiod.families import (
     random_multigraph,
 )
 from graphperiod.invariants import CHROMATIC_VARS
-from graphperiod.polynomials import Polynomial
+from graphperiod.polynomials import ModPolynomial, Polynomial
 from graphperiod.symmetry import Automorphism, automorphism_from_vertex_perm
 
 
@@ -76,6 +76,16 @@ def chromatic_by_own_recursion(g: MultiGraph, memo=None) -> Polynomial:
             delete_edge(g, 0), memo
         ) - chromatic_by_own_recursion(contract_edge(g, 0), memo)
     return memo[key]
+
+
+def power_by_multiplication(a: ModPolynomial, k: int, fold_names) -> ModPolynomial:
+    """Independent oracle for power_mod: a**k by k - 1 multiplications,
+    folding the listed variables after each one."""
+    fold_names = tuple(fold_names)
+    result = a.fold(fold_names)
+    for _ in range(k - 1):
+        result = (result * a).fold(fold_names)
+    return result
 
 
 def girth(g: MultiGraph) -> int:

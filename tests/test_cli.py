@@ -42,16 +42,6 @@ def test_compute_chromatic(capsys):
     assert code == 0 and out.strip() == "2*λ - 3*λ^2 + λ^3"
 
 
-def test_compute_negami_routes_agree(capsys):
-    _, expansion, _ = run(
-        capsys, "compute", "negami", "--graph", "cycle:4", "--route", "expansion"
-    )
-    _, recursion, _ = run(
-        capsys, "compute", "negami", "--graph", "cycle:4", "--route", "recursion"
-    )
-    assert expansion == recursion
-
-
 def test_compute_fold(capsys):
     code, out, _ = run(
         capsys, "compute", "tutte", "--graph", "cycle:3", "--mod", "3", "--fold"
@@ -290,29 +280,6 @@ def test_readme_commands_run(capsys):
 
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
-
-
-def test_subset_cap_flag(capsys):
-    code, _, err = run(
-        capsys,
-        "compute",
-        "negami",
-        "--graph",
-        "petersen",
-        "--route",
-        "expansion",
-        "--cap",
-        "10",
-    )
-    assert code == 2 and "cap" in err
-
-
-def test_subset_cap_env(monkeypatch, capsys):
-    monkeypatch.setenv("GRAPHPERIOD_SUBSET_CAP", "3")
-    code, _, err = run(
-        capsys, "compute", "negami", "--graph", "cycle:4", "--route", "expansion"
-    )
-    assert code == 2 and "cap" in err
 
 
 def test_output_is_deterministic(capsys):

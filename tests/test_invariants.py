@@ -132,7 +132,7 @@ def test_negami_cap():
         negami_subset_expansion(g)
     assert "deletion-contraction" in str(err.value)
     # the recursion route handles it
-    n = negami_polynomial(g, route="recursion")
+    n = negami_polynomial(g)
     assert n.edge_count == 28
 
 
@@ -164,11 +164,10 @@ def test_route_equivalence_negami(route_family):
         ), f"negami routes disagree on {g!r}"
 
 
-def test_negami_polynomial_auto_dispatch():
+def test_negami_polynomial_matches_expansion_on_petersen():
+    # 15 edges, beyond the 8-edge graphs of route_family
     g = named_graph("petersen")
-    assert negami_polynomial(g, route="auto").polynomial == negami_polynomial(
-        g, route="recursion"
-    ).polynomial
+    assert negami_polynomial(g).polynomial == negami_subset_expansion(g).polynomial
 
 
 # -- chromatic ------------------------------------------------------------------------

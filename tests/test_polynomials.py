@@ -20,6 +20,7 @@ from graphperiod.polynomials import (
     reduce_mod_p,
     substitute,
 )
+from conftest import power_by_multiplication
 
 XY = ("x", "y")
 ST = ("s", "t")
@@ -209,6 +210,12 @@ def test_power_mod_square_mod2():
     assert power_mod(a, 2, ST).polynomial == parse_polynomial("s + t", ST)
 
 
+def test_power_mod_refuses_exponent_not_a_power_of_p():
+    a = reduce_mod_p(parse_polynomial("s + t", ST), 5)
+    with pytest.raises(ValueError):
+        power_mod(a, 4, ST)
+
+
 # -- property tests -------------------------------------------------------------
 
 
@@ -248,6 +255,21 @@ def test_fold_idempotent(a, p):
     am = reduce_mod_p(a, p)
     folded = am.fold(XY)
     assert folded.fold(XY) == folded
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    polynomials(("u", "x", "y"), max_exp=4),
+    st.sampled_from([2, 3, 5, 7]),
+    st.booleans(),
+    st.sets(st.sampled_from(("u", "x", "y"))),
+)
+def test_power_mod_matches_repeated_multiplication(a, p, frobenius, names):
+    # power_mod raises to k = p (or k = 1) by the Frobenius map
+    k = p if frobenius else 1
+    am = reduce_mod_p(a, p)
+    folded = sorted(names)
+    assert power_mod(am, k, folded) == power_by_multiplication(am, k, folded)
 
 
 @given(polynomials(), polynomials(), st.sampled_from([2, 3, 5]))
