@@ -9,7 +9,10 @@ Checks on the graph alone:
 
 * ``thm1.1``  - every monomial of N mod p must have y-exponent divisible by p.
 * ``cor1.2``  - every surviving coefficient a_{ij} of the shifted Tutte
-  polynomial mod p must satisfy j - i == 1 - r (mod p).
+  polynomial mod p must satisfy j - i == 1 - r (mod p).  This is thm1.1 in
+  Tutte coordinates: a_{ij} s^i t^j is the term a_{ij} u^(1+i)
+  x^(q-r+1+i-j) y^(r-1-i+j) of N on a connected graph, so the two checks
+  always agree, with the same violating coefficients.
 * ``cor1.3``  - for an (asserted) planar self-dual graph, r == 1 (mod p);
   the computable necessary condition T(s,t) = T(t,s) is verified first.
 
@@ -30,13 +33,14 @@ Checks against a quotient witness h (oracle-assisted):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .graphs import MultiGraph, component_count, is_connected
 from .invariants import (
     CHROMATIC_VARS,
     TUTTE_SHIFTED_VARS,
     chromatic_deletion_contraction,
+    negami_from_tutte,
     negami_polynomial,
     tutte_deletion_contraction,
 )
@@ -375,13 +379,15 @@ def exclusion_report(
     oracle_limit=DEFAULT_VERTEX_LIMIT,
 ):
     """Run cor1.2 and thm1.1 for each prime; a prime is excluded when either
-    fails.  With ``use_oracle`` (and the graph under the size limit) the
-    exhaustive search cross-checks that no excluded prime actually has a free
-    period; a contradiction raises SoundnessError."""
+    fails.  Both read one Tutte run: thm1.1's N is T with relabelled
+    exponents.  With ``use_oracle`` the exhaustive search cross-checks that
+    no excluded prime actually has a free period (a contradiction raises
+    SoundnessError); a graph above ``oracle_limit`` is not searched, and its
+    reports say so."""
     _require_connected(g, "exclusion report")
     label = graph_label or _default_label(g)
     tutte = tutte_deletion_contraction(g).shifted
-    negami = negami_polynomial(g)
+    negami = negami_from_tutte(g, tutte)
     reports = []
     for p in sorted(set(primes)):
         per_prime = [
@@ -389,28 +395,24 @@ def exclusion_report(
             check_negami_shape(g, p, graph_label=label, negami=negami),
         ]
         excluded = any(r.verdict == "fail" for r in per_prime)
-        if use_oracle and g.vertex_count <= oracle_limit:
-            witness = find_free_period(g, p, limit=oracle_limit)
-            if witness is not None and excluded:
-                raise SoundnessError(
-                    f"free period of order {p} found although the criteria "
-                    f"exclude it: {witness.to_dict()}"
+        if use_oracle:
+            if g.vertex_count > oracle_limit:
+                oracle_note = (
+                    f"oracle: skipped, {g.vertex_count} vertices exceed the "
+                    f"limit of {oracle_limit}"
                 )
-            oracle_note = (
-                f"oracle: free period of order {p} "
-                + ("found" if witness is not None else "not found")
-            )
-            per_prime = [
-                CriterionReport(
-                    criterion=r.criterion,
-                    graph=r.graph,
-                    p=r.p,
-                    verdict=r.verdict,
-                    violations=r.violations,
-                    notes=r.notes + (oracle_note,),
+            else:
+                witness = find_free_period(g, p, limit=oracle_limit)
+                if witness is not None and excluded:
+                    raise SoundnessError(
+                        f"free period of order {p} found although the criteria "
+                        f"exclude it: {witness.to_dict()}"
+                    )
+                oracle_note = (
+                    f"oracle: free period of order {p} "
+                    + ("found" if witness is not None else "not found")
                 )
-                for r in per_prime
-            ]
+            per_prime = [replace(r, notes=r.notes + (oracle_note,)) for r in per_prime]
         reports.extend(per_prime)
     reports.sort(key=lambda r: (r.graph, r.p, r.criterion))
     return reports

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
 from .graphs import MultiGraph, canonical_key
 
@@ -60,11 +59,3 @@ def random_multigraph(rng: random.Random, max_vertices=5, max_edges=8) -> MultiG
     )
     return MultiGraph(n, edges)
 
-
-def all_simple_graphs(n: int):
-    """Every labeled simple graph on n vertices (2^C(n,2) of them)."""
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield MultiGraph(
-            n, tuple(p for i, p in enumerate(pairs) if mask >> i & 1)
-        )

@@ -11,8 +11,12 @@ Three invariants of a multigraph G with r vertices, q edges and w components:
   The shifted form T(s, t) = tau(s+1, t+1) is one binomial change of
   variable.
 * Negami polynomial N(u, x, y) = sum over edge subsets Y of
-  u^{components of (V, Y)} x^{q-|Y|} y^{|Y|}, by converting the Tutte
-  polynomial of the same recursion (the corank-nullity change of basis).
+  u^{components of (V, Y)} x^{q-|Y|} y^{|Y|}, read off the shifted Tutte
+  polynomial of the same recursion: with rank = r - w and nullity = q - rank,
+  each term a_{ij} s^i t^j of T(s, t) is the term
+  a_{ij} u^(w+i) x^(nullity+i-j) y^(rank-i+j) of N, because a subset of
+  rank r(Y) has i = rank - r(Y) and j = |Y| - r(Y) (Negami, "Polynomial
+  invariants of graphs", Trans. AMS 299, 1987).
 * Chromatic polynomial P(lam) = (-1)^{r-w} lam^w tau(1-lam, 0), by the same
   recursion run on the line y = 0 (a loop gives 0, a parallel class counts
   as one edge), and independently by specializing N as (-1)^q N(lam, -1, 1).
@@ -315,43 +319,33 @@ def negami_subset_expansion(g: MultiGraph) -> NegamiPolynomial:
     )
 
 
-def negami_from_tutte(g: MultiGraph, *, cache=None) -> NegamiPolynomial:
-    """Negami polynomial via the Tutte recursion.
+def negami_from_tutte(g: MultiGraph, shifted: Polynomial) -> NegamiPolynomial:
+    """Negami polynomial of g from its shifted Tutte polynomial T(s, t).
 
-    With tau = sum b_{ij} x^i y^j, rank = r - w and nullity = q - rank:
+    An edge subset A of rank r(A) contributes s^i t^j to T with
+    i = rank - r(A) and j = |A| - r(A), where rank = r - w and
+    nullity = q - rank.  The same subset contributes u^{w(V,A)} x^{q-|A|}
+    y^{|A|} to N, and w(V,A) = w + i, |A| = rank - i + j,
+    q - |A| = nullity + i - j.  So each term a_{ij} s^i t^j of T is the term
 
-        N(u, x, y) = u^w * sum b_{ij} (u*x + y)^i y^(rank-i) (x + y)^j x^(nullity-j)
+        a_{ij} u^(w+i) x^(nullity+i-j) y^(rank-i+j)
 
-    which is the corank-nullity expansion re-based to the subset-expansion
-    variables; polynomial on the nose, no rational functions involved.
+    of N: the conversion only relabels exponents.
     """
-    classic = tutte_deletion_contraction(g, cache=cache).classic
     r = g.vertex_count
     q = g.edge_count
     w = component_count(g)
     rank = r - w
     nullity = q - rank
-
-    ux_plus_y = Polynomial(NEGAMI_VARS, {(1, 1, 0): 1, (0, 0, 1): 1})
-    x_plus_y = Polynomial(NEGAMI_VARS, {(0, 1, 0): 1, (0, 0, 1): 1})
-    x_var = Polynomial.variable(NEGAMI_VARS, "x")
-    y_var = Polynomial.variable(NEGAMI_VARS, "y")
-
-    pow_uxy = [Polynomial.constant(NEGAMI_VARS, 1)]
-    for _ in range(rank):
-        pow_uxy.append(pow_uxy[-1] * ux_plus_y)
-    pow_xy = [Polynomial.constant(NEGAMI_VARS, 1)]
-    for _ in range(nullity):
-        pow_xy.append(pow_xy[-1] * x_plus_y)
-
-    total = Polynomial.zero(NEGAMI_VARS)
-    for (i, j), coeff in classic.terms.items():
-        term = coeff * pow_uxy[i] * (y_var ** (rank - i))
-        term = term * pow_xy[j] * (x_var ** (nullity - j))
-        total = total + term
-    total = Polynomial.monomial(NEGAMI_VARS, (w, 0, 0)) * total
+    table = {
+        (w + i, nullity + i - j, rank - i + j): coeff
+        for (i, j), coeff in shifted.terms.items()
+    }
     return NegamiPolynomial(
-        polynomial=total, vertex_count=r, edge_count=q, components=w
+        polynomial=Polynomial(NEGAMI_VARS, table),
+        vertex_count=r,
+        edge_count=q,
+        components=w,
     )
 
 
@@ -360,7 +354,7 @@ def negami_polynomial(g: MultiGraph, *, cache=None) -> NegamiPolynomial:
     polynomial (``negami_from_tutte``); ``cache`` is passed on to the Tutte
     recursion.  ``negami_subset_expansion`` gives the same polynomial by an
     independent route and is kept as its test oracle."""
-    return negami_from_tutte(g, cache=cache)
+    return negami_from_tutte(g, tutte_deletion_contraction(g, cache=cache).shifted)
 
 
 def tutte_from_negami(n: NegamiPolynomial) -> Polynomial:

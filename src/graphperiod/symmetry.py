@@ -197,13 +197,6 @@ def enumerate_automorphisms(g: MultiGraph, *, limit=DEFAULT_VERTEX_LIMIT):
     return [Automorphism(vp, _induced_edge_perm(g, vp)) for vp in perms]
 
 
-def _power(perm, k):
-    out = list(range(len(perm)))
-    for _ in range(k):
-        out = [perm[i] for i in out]
-    return tuple(out)
-
-
 def _free_edge_perm(g: MultiGraph, vp, p):
     """A compatible fixed-point-free edge permutation ep with ep^p = id for a
     vertex automorphism satisfying vp^p = id, or None.
@@ -262,7 +255,8 @@ def find_free_period(g: MultiGraph, p: int, *, limit=DEFAULT_VERTEX_LIMIT):
     identity_v = tuple(range(g.vertex_count))
     for h in enumerate_automorphisms(g, limit=limit):
         vp = h.vertex_perm
-        if _power(vp, p) != identity_v:
+        # vp^p = id exactly when every cycle has length 1 or p
+        if any(len(c) not in (1, p) for c in _cycles(vp)):
             continue
         if vp == identity_v and g.edge_count == 0:
             continue  # the identity pair has order 1, not p

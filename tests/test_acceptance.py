@@ -29,7 +29,7 @@ from graphperiod.invariants import (
     TUTTE_SHIFTED_VARS,
     chromatic_deletion_contraction,
     chromatic_from_negami,
-    negami_from_tutte,
+    negami_polynomial,
     negami_subset_expansion,
     tutte_deletion_contraction,
     tutte_from_negami,
@@ -145,7 +145,7 @@ def test_criterion_6_quotient_congruence_fixtures():
         g, h = cycle_rotation(p)
         # independent recomputation: subset expansion must agree with the
         # recursion route before the criteria consume either
-        assert negami_subset_expansion(g).polynomial == negami_from_tutte(g).polynomial
+        assert negami_subset_expansion(g).polynomial == negami_polynomial(g).polynomial
         assert check_negami_quotient_congruence(g, h, p).passed
         assert check_tutte_quotient_congruence(g, h, p).passed
         from graphperiod.symmetry import quotient_graph
@@ -154,7 +154,7 @@ def test_criterion_6_quotient_congruence_fixtures():
         assert quotient.vertex_count == 1 and quotient.endpoints == ((0, 0),)
     pet = named_graph("petersen")
     assert (
-        negami_subset_expansion(pet).polynomial == negami_from_tutte(pet).polynomial
+        negami_subset_expansion(pet).polynomial == negami_polynomial(pet).polynomial
     )
     h = find_free_period(pet, 5)
     assert check_negami_quotient_congruence(pet, h, 5).passed

@@ -159,6 +159,16 @@ def test_exclude_exit_codes(capsys):
     assert "p=5: not excluded" in out
 
 
+def test_exclude_oracle_over_limit_says_skipped(capsys):
+    code, out, _ = run(
+        capsys, "exclude", "--graph", "cycle:5", "--primes", "5",
+        "--oracle", "--oracle-limit", "3",
+    )
+    assert code == 0
+    note = "note: oracle: skipped, 5 vertices exceed the limit of 3"
+    assert out.count(note) == 2  # one per report: cor1.2 and thm1.1
+
+
 def test_exclude_json_reports_validate(capsys):
     jsonschema = pytest.importorskip("jsonschema")
     code, out, _ = run(

@@ -4,7 +4,6 @@ import pytest
 
 from graphperiod.graphs import named_graph, parse_edge_list
 from graphperiod.invariants import (
-    negami_from_tutte,
     negami_polynomial,
     negami_subset_expansion,
     tutte_deletion_contraction,
@@ -102,7 +101,7 @@ def test_checks_agree_across_polynomial_routes(route_family):
             continue
         for p in (2, 3):
             via_expansion = check_negami_shape(g, p, negami=negami_subset_expansion(g))
-            via_recursion = check_negami_shape(g, p, negami=negami_from_tutte(g))
+            via_recursion = check_negami_shape(g, p, negami=negami_polynomial(g))
             assert via_expansion == via_recursion
             t_rec = check_tutte_coefficients(
                 g, p, tutte=tutte_deletion_contraction(g).shifted
@@ -114,16 +113,22 @@ def test_checks_agree_across_polynomial_routes(route_family):
 
 
 def test_shape_pass_implies_coefficient_pass():
-    # the y-exponent condition on N mod p forces the coefficient pattern of T,
-    # checked over the same <= 7 vertex family the soundness sweep uses
+    # on a connected graph N's y-exponent is r - 1 - i + j for the term
+    # a_ij s^i t^j of T, so thm1.1 and cor1.2 give the same verdict with the
+    # same violating coefficients; checked over the same <= 7 vertex family
+    # the soundness sweep uses
     from graphperiod.families import connected_simple_graphs
 
     for g in connected_simple_graphs(7):
         negami = negami_polynomial(g)
         tutte = tutte_deletion_contraction(g).shifted
-        for p in (2, 3, 5):
-            if check_negami_shape(g, p, negami=negami).passed:
-                assert check_tutte_coefficients(g, p, tutte=tutte).passed, (g, p)
+        for p in (2, 3, 5, 7):
+            shape = check_negami_shape(g, p, negami=negami)
+            coefficients = check_tutte_coefficients(g, p, tutte=tutte)
+            assert shape.verdict == coefficients.verdict, (g, p)
+            assert sorted(v.coefficient for v in shape.violations) == sorted(
+                v.coefficient for v in coefficients.violations
+            ), (g, p)
 
 
 # -- cor1.3: self-dual vertex count ----------------------------------------------

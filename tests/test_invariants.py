@@ -14,7 +14,6 @@ from graphperiod.invariants import (
     SubsetCapExceededError,
     chromatic_deletion_contraction,
     chromatic_from_negami,
-    negami_from_tutte,
     negami_polynomial,
     negami_subset_expansion,
     tutte_deletion_contraction,
@@ -157,9 +156,12 @@ def test_route_equivalence_tutte(route_family):
 
 
 def test_route_equivalence_negami(route_family):
-    for g in route_family:
+    # plus the empty graph, an edgeless graph, and a disconnected graph with
+    # a loop and a parallel pair
+    extra = [MultiGraph(0), MultiGraph(3), MultiGraph(5, ((0, 1), (0, 1), (2, 2), (3, 4)))]
+    for g in route_family + extra:
         assert (
-            negami_from_tutte(g).polynomial
+            negami_polynomial(g).polynomial
             == negami_subset_expansion(g).polynomial
         ), f"negami routes disagree on {g!r}"
 
