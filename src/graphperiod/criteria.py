@@ -53,6 +53,7 @@ from .polynomials import (
 )
 from .symmetry import (
     DEFAULT_VERTEX_LIMIT,
+    OracleLimitError,
     find_free_period,
     quotient_graph,
     validate_free_period,
@@ -279,12 +280,16 @@ def _difference_violations(lhs: ModPolynomial, rhs: ModPolynomial):
     return _sorted_violations(diff.terms, diff.variables)
 
 
-def check_negami_quotient_congruence(g, h, p, *, graph_label=None) -> CriterionReport:
+def check_negami_quotient_congruence(
+    g, h, p, *, graph_label=None, negami=None
+) -> CriterionReport:
     """N_G == (N_Gbar)^p modulo (p, u^p - u), as folded canonical forms."""
     _require_connected(g, "thm3.1")
     validate_free_period(g, h, p)
     quotient = quotient_graph(g, h).quotient
-    lhs = reduce_mod_p(negami_polynomial(g).polynomial, p).fold_variable("u")
+    if negami is None:
+        negami = negami_polynomial(g)
+    lhs = reduce_mod_p(negami.polynomial, p).fold_variable("u")
     rhs = power_mod(
         reduce_mod_p(negami_polynomial(quotient).polynomial, p), p, ("u",)
     )
@@ -302,7 +307,9 @@ def check_negami_quotient_congruence(g, h, p, *, graph_label=None) -> CriterionR
     )
 
 
-def check_tutte_quotient_congruence(g, h, p, *, graph_label=None) -> CriterionReport:
+def check_tutte_quotient_congruence(
+    g, h, p, *, graph_label=None, tutte=None
+) -> CriterionReport:
     """T_G == (T_Gbar)^p modulo (p, s^p - s, t^p - t), compared after
     premultiplying each side by its specialization monomial:
 
@@ -314,15 +321,20 @@ def check_tutte_quotient_congruence(g, h, p, *, graph_label=None) -> CriterionRe
     validate_free_period(g, h, p)
     quotient = quotient_graph(g, h).quotient
 
-    def premultiplied(graph):
-        shifted = tutte_deletion_contraction(graph).shifted
+    def premultiplied(graph, shifted):
         monomial = Polynomial.monomial(
             TUTTE_SHIFTED_VARS, (1, graph.vertex_count)
         )
         return reduce_mod_p(monomial * shifted, p)
 
-    lhs = premultiplied(g).fold(TUTTE_SHIFTED_VARS)
-    rhs = power_mod(premultiplied(quotient), p, TUTTE_SHIFTED_VARS)
+    if tutte is None:
+        tutte = tutte_deletion_contraction(g).shifted
+    lhs = premultiplied(g, tutte).fold(TUTTE_SHIFTED_VARS)
+    rhs = power_mod(
+        premultiplied(quotient, tutte_deletion_contraction(quotient).shifted),
+        p,
+        TUTTE_SHIFTED_VARS,
+    )
     violations = _difference_violations(lhs, rhs)
     return CriterionReport(
         criterion="cor3.2",
@@ -339,14 +351,18 @@ def check_tutte_quotient_congruence(g, h, p, *, graph_label=None) -> CriterionRe
     )
 
 
-def check_chromatic_vanishing(g, h, p, *, graph_label=None) -> CriterionReport:
+def check_chromatic_vanishing(
+    g, h, p, *, graph_label=None, chromatic=None
+) -> CriterionReport:
     """P_G == (P_Gbar)^p modulo (p, λ^p - λ); a loop in the quotient zeroes
     the right side, so P_G must fold to zero."""
     _require_connected(g, "chromatic-remark")
     validate_free_period(g, h, p)
     quotient = quotient_graph(g, h).quotient
     lam = CHROMATIC_VARS[0]
-    lhs = reduce_mod_p(chromatic_deletion_contraction(g), p).fold_variable(lam)
+    if chromatic is None:
+        chromatic = chromatic_deletion_contraction(g)
+    lhs = reduce_mod_p(chromatic, p).fold_variable(lam)
     has_loop = any(u == v for u, v in quotient.endpoints)
     if has_loop:
         rhs = reduce_mod_p(Polynomial.zero(CHROMATIC_VARS), p)
@@ -380,10 +396,10 @@ def exclusion_report(
 ):
     """Run cor1.2 and thm1.1 for each prime; a prime is excluded when either
     fails.  Both read one Tutte run: thm1.1's N is T with relabelled
-    exponents.  With ``use_oracle`` the exhaustive search cross-checks that
-    no excluded prime actually has a free period (a contradiction raises
-    SoundnessError); a graph above ``oracle_limit`` is not searched, and its
-    reports say so."""
+    exponents.  With ``use_oracle`` the free-period search cross-checks
+    that no excluded prime actually has a free period (a contradiction
+    raises SoundnessError); a graph above ``oracle_limit`` is not searched,
+    a search past the node budget is given up, and the reports say so."""
     _require_connected(g, "exclusion report")
     label = graph_label or _default_label(g)
     tutte = tutte_deletion_contraction(g).shifted
@@ -402,16 +418,20 @@ def exclusion_report(
                     f"limit of {oracle_limit}"
                 )
             else:
-                witness = find_free_period(g, p, limit=oracle_limit)
-                if witness is not None and excluded:
-                    raise SoundnessError(
-                        f"free period of order {p} found although the criteria "
-                        f"exclude it: {witness.to_dict()}"
+                try:
+                    witness = find_free_period(g, p, limit=oracle_limit)
+                except OracleLimitError as exc:
+                    oracle_note = f"oracle: skipped, {exc}"
+                else:
+                    if witness is not None and excluded:
+                        raise SoundnessError(
+                            f"free period of order {p} found although the "
+                            f"criteria exclude it: {witness.to_dict()}"
+                        )
+                    oracle_note = (
+                        f"oracle: free period of order {p} "
+                        + ("found" if witness is not None else "not found")
                     )
-                oracle_note = (
-                    f"oracle: free period of order {p} "
-                    + ("found" if witness is not None else "not found")
-                )
             per_prime = [replace(r, notes=r.notes + (oracle_note,)) for r in per_prime]
         reports.extend(per_prime)
     reports.sort(key=lambda r: (r.graph, r.p, r.criterion))

@@ -1,6 +1,14 @@
 """Ground-truth symmetry oracle: automorphism enumeration, free-period
 search, orbits and quotient graphs.
 
+Both searches run on one backtracking routine over vertex images, with the
+refined colour classes as candidate sets (after McKay & Piperno, "Practical
+graph isomorphism, II", J. Symbolic Comput. 60, 2014).  The enumeration
+lists and sorts Aut(G); the free-period search places vertices 0, 1, ... in
+order, prunes every branch that cannot extend to a free action of order p,
+and stops at the first witness.  Each search gives up with OracleLimitError
+after SEARCH_NODE_BUDGET nodes, as it does above a vertex limit.
+
 An automorphism of a multigraph is a compatible pair of permutations (one of
 vertices, one of edges).  On simple graphs the edge permutation is forced by
 the vertex permutation; with parallel edges several edge permutations may be
@@ -23,10 +31,11 @@ from .graphs import MultiGraph, _adjacency, _refine
 from .polynomials import is_prime
 
 DEFAULT_VERTEX_LIMIT = 32
+SEARCH_NODE_BUDGET = 200_000
 
 
 class OracleLimitError(ValueError):
-    """Graph too large for exhaustive automorphism search."""
+    """Graph above the vertex limit, or search past the node budget."""
 
 
 class NotAFreePeriodError(ValueError):
@@ -102,19 +111,24 @@ def _parallel_classes(g: MultiGraph):
     return classes
 
 
-def _induced_edge_perm(g: MultiGraph, vp) -> tuple:
+def _edge_index(g: MultiGraph):
+    """(edges, classes) for inducing edge permutations: each edge as (u, v,
+    its rank in its parallel class), and both orientations of every joined
+    pair mapped to the class's ascending edge ids."""
+    classes = _parallel_classes(g)
+    edges = [None] * g.edge_count
+    for (u, v), members in list(classes.items()):
+        classes[v, u] = members
+        for rank, e in enumerate(members):
+            edges[e] = (u, v, rank)
+    return edges, classes
+
+
+def _induced_edge_perm(index, vp) -> tuple:
     """The canonical edge permutation induced by a vertex automorphism:
     parallel edges map in ascending id order."""
-    classes = _parallel_classes(g)
-    ep = [0] * g.edge_count
-    for (u, v), members in classes.items():
-        a, b = vp[u], vp[v]
-        image = classes.get((a, b) if a <= b else (b, a))
-        if image is None or len(image) != len(members):
-            raise ValueError("vertex permutation is not an automorphism")
-        for src, dst in zip(members, image):
-            ep[src] = dst
-    return tuple(ep)
+    edges, classes = index
+    return tuple([classes[vp[u], vp[v]][rank] for u, v, rank in edges])
 
 
 def automorphism_from_vertex_perm(g: MultiGraph, vertex_perm) -> Automorphism:
@@ -123,15 +137,31 @@ def automorphism_from_vertex_perm(g: MultiGraph, vertex_perm) -> Automorphism:
     vp = tuple(vertex_perm)
     if sorted(vp) != list(range(g.vertex_count)):
         raise ValueError("vertex_perm is not a permutation of the vertices")
-    h = Automorphism(vp, _induced_edge_perm(g, vp))
+    try:
+        h = Automorphism(vp, _induced_edge_perm(_edge_index(g), vp))
+    except (KeyError, IndexError):
+        raise ValueError("vertex permutation is not an automorphism") from None
     validate_automorphism(g, h)
     return h
 
 
-def _vertex_automorphisms(g: MultiGraph):
-    """All vertex permutations preserving loop counts and adjacency
-    multiplicities, by backtracking over a BFS vertex order with refined
-    color classes as candidate sets."""
+def _vertex_automorphisms(g: MultiGraph, *, lexicographic=False, prune=None):
+    """Vertex permutations preserving loop counts and adjacency
+    multiplicities, by backtracking: each vertex in turn takes an image of
+    its refined colour and loop count that keeps the multiplicities to every
+    vertex placed before it.
+
+    With ``lexicographic`` the vertices are placed in order 0, 1, ... and
+    candidates are tried ascending, so permutations come out in
+    vertex-lexicographic order; otherwise a BFS order is used, which meets
+    adjacency constraints sooner.  ``prune``, if given, is called as
+    ``prune(loops, adj, colors, image, preimage)`` and returns a step
+    ``step(v, w)`` consulted after v is mapped to w (``image`` and
+    ``preimage`` already updated); a false result cuts the branch.
+
+    Raises OracleLimitError once the search visits more than
+    SEARCH_NODE_BUDGET nodes.
+    """
     n = g.vertex_count
     if n == 0:
         yield ()
@@ -139,62 +169,81 @@ def _vertex_automorphisms(g: MultiGraph):
     loops, adj = _adjacency(g)
     colors = _refine(n, adj, loops, [0] * n)
 
-    order = []
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        queue = [root]
-        seen[root] = True
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for u in sorted(adj[v]):
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append(u)
+    if lexicographic:
+        order = list(range(n))
+    else:
+        order = []
+        seen = [False] * n
+        for root in range(n):
+            if seen[root]:
+                continue
+            queue = [root]
+            seen[root] = True
+            while queue:
+                v = queue.pop(0)
+                order.append(v)
+                for u in sorted(adj[v]):
+                    if not seen[u]:
+                        seen[u] = True
+                        queue.append(u)
 
     candidates = [
         [w for w in range(n) if colors[w] == colors[v] and loops[w] == loops[v]]
         for v in range(n)
     ]
     image = [-1] * n
-    used = [False] * n
+    preimage = [-1] * n
+    step = prune(loops, adj, colors, image, preimage) if prune else None
+    budget = SEARCH_NODE_BUDGET
+    nodes = 0
 
     def extend(k):
-        if k == len(order):
+        nonlocal nodes
+        if k == n:
             yield tuple(image)
             return
         v = order[k]
         row = adj[v]
         for w in candidates[v]:
-            if used[w]:
+            if preimage[w] != -1:
                 continue
+            row_w = adj[w]
             ok = True
             for prev in order[:k]:
-                if row.get(prev, 0) != adj[w].get(image[prev], 0):
+                if row.get(prev, 0) != row_w.get(image[prev], 0):
                     ok = False
                     break
             if not ok:
                 continue
+            nodes += 1
+            if nodes > budget:
+                raise OracleLimitError(f"search budget of {budget} nodes exceeded")
             image[v] = w
-            used[w] = True
-            yield from extend(k + 1)
-            used[w] = False
+            preimage[w] = v
+            if step is None or step(v, w):
+                yield from extend(k + 1)
+            preimage[w] = -1
             image[v] = -1
 
     yield from extend(0)
 
 
-def enumerate_automorphisms(g: MultiGraph, *, limit=DEFAULT_VERTEX_LIMIT):
-    """Complete automorphism list, each vertex permutation paired with the
-    canonical edge permutation, sorted by vertex permutation."""
+def _check_vertex_limit(g: MultiGraph, limit):
     if g.vertex_count > limit:
         raise OracleLimitError(
             f"{g.vertex_count} vertices exceeds the oracle limit of {limit}"
         )
-    perms = sorted(_vertex_automorphisms(g))
-    return [Automorphism(vp, _induced_edge_perm(g, vp)) for vp in perms]
+
+
+def enumerate_automorphisms(g: MultiGraph, *, limit=DEFAULT_VERTEX_LIMIT):
+    """Complete automorphism list, each vertex permutation paired with the
+    canonical edge permutation, sorted by vertex permutation."""
+    _check_vertex_limit(g, limit)
+    index = _edge_index(g)
+    return [
+        Automorphism(vp, _induced_edge_perm(index, vp))
+        for vp in sorted(_vertex_automorphisms(g))
+    ]
 
 
 def _free_edge_perm(g: MultiGraph, vp, p):
@@ -243,27 +292,104 @@ def _free_edge_perm(g: MultiGraph, vp, p):
     return tuple(ep)
 
 
+def _period_prune(p):
+    """Pruning step for the free-period search at prime p.  A branch dies
+    as soon as it cannot extend to an h with h^p = id whose fixed edge
+    classes all have multiplicity divisible by p:
+
+    * the cycle through the new arrow closes with a length other than 1 or
+      p, or the open chain through it has more than p vertices;
+    * a newly fixed vertex carries a loop class, or joins an already fixed
+      vertex by an edge class, of multiplicity not divisible by p; at p = 2
+      the new arrow v -> w fixes the class {v, w} (w must map back to v);
+    * the refined colour cell of v, a union of <h>-orbits, cannot be
+      completed: its open chains need more vertices than it has left
+      unplaced, or the fixed vertices it still needs (its size minus its
+      fixed vertices is divisible by p) outnumber the unplaced vertices
+      that could still be fixed.
+    """
+
+    def factory(loops, adj, colors, image, preimage):
+        cells = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+
+        def fixable(x):
+            # x may be fixed beside the vertices fixed so far
+            return loops[x] % p == 0 and all(
+                m % p == 0 for y, m in adj[x].items() if image[y] == y
+            )
+
+        def step(v, w):
+            if w == v:
+                if not fixable(v):
+                    return False
+            elif p == 2 and adj[v].get(w, 0) % 2:
+                return False
+            # the cycle, or the open chain, through the arrow v -> w
+            length, x = 1, w
+            while x != v and x != -1:
+                length += 1
+                x = image[x]
+            if x == v:
+                if length != 1 and length != p:
+                    return False
+            else:
+                x = preimage[v]
+                while x != -1:
+                    length += 1
+                    x = preimage[x]
+                if length > p:
+                    return False
+
+            cell = cells[colors[v]]
+            fixed = unplaced = 0
+            for x in cell:
+                if image[x] == x:
+                    fixed += 1
+                elif image[x] == -1 and preimage[x] == -1:
+                    unplaced += 1
+            # the moved vertices end on p-cycles, so the open chains need
+            # (-moved) mod p unplaced vertices, and (|cell| - fixed) mod p
+            # unplaced vertices must end fixed
+            if unplaced < (fixed + unplaced - len(cell)) % p:
+                return False
+            need = (len(cell) - fixed) % p
+            if need:
+                for x in cell:
+                    if image[x] == -1 and preimage[x] == -1 and fixable(x):
+                        need -= 1
+                        if not need:
+                            break
+                else:
+                    return False
+            return True
+
+        return step
+
+    return factory
+
+
 def find_free_period(g: MultiGraph, p: int, *, limit=DEFAULT_VERTEX_LIMIT):
     """First automorphism (in vertex-lexicographic order) of order exactly p
     whose edge permutation has no fixed point, or None.
 
-    The identity vertex permutation is considered too: parallel classes of
-    multiplicity divisible by p admit a free edge action on their own.
+    The search places vertices 0, 1, ... in turn and cuts every branch that
+    cannot extend to a free action of order p (see ``_period_prune``), so
+    it stops at the first witness instead of listing Aut(G).  The identity
+    vertex permutation is considered too: parallel classes of multiplicity
+    divisible by p admit a free edge action on their own.
     """
     if not is_prime(p):
         raise ValueError(f"period must be prime, got {p}")
+    _check_vertex_limit(g, limit)
     identity_v = tuple(range(g.vertex_count))
-    for h in enumerate_automorphisms(g, limit=limit):
-        vp = h.vertex_perm
-        # vp^p = id exactly when every cycle has length 1 or p
-        if any(len(c) not in (1, p) for c in _cycles(vp)):
-            continue
+    for vp in _vertex_automorphisms(g, lexicographic=True, prune=_period_prune(p)):
         if vp == identity_v and g.edge_count == 0:
             continue  # the identity pair has order 1, not p
         ep = _free_edge_perm(g, vp, p)
-        if ep is None:
-            continue
-        return Automorphism(vp, ep)
+        if ep is not None:
+            return Automorphism(vp, ep)
     return None
 
 

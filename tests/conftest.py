@@ -23,7 +23,12 @@ from graphperiod.families import (
 )
 from graphperiod.invariants import CHROMATIC_VARS
 from graphperiod.polynomials import ModPolynomial, Polynomial
-from graphperiod.symmetry import Automorphism, automorphism_from_vertex_perm
+from graphperiod.symmetry import (
+    Automorphism,
+    _free_edge_perm,
+    automorphism_from_vertex_perm,
+    enumerate_automorphisms,
+)
 
 
 def cycle_rotation(p: int):
@@ -86,6 +91,28 @@ def power_by_multiplication(a: ModPolynomial, k: int, fold_names) -> ModPolynomi
     for _ in range(k - 1):
         result = (result * a).fold(fold_names)
     return result
+
+
+def free_period_by_enumeration(g: MultiGraph, p: int):
+    """Independent oracle for find_free_period: walk the whole sorted
+    automorphism list and return the first h with h^p = id (vertex part),
+    other than the identity of an edgeless graph, that admits a free edge
+    action; None if there is none."""
+    n = g.vertex_count
+    identity_v = tuple(range(n))
+    for h in enumerate_automorphisms(g):
+        vp = h.vertex_perm
+        power = identity_v
+        for _ in range(p):
+            power = tuple(vp[v] for v in power)
+        if power != identity_v:
+            continue
+        if vp == identity_v and g.edge_count == 0:
+            continue
+        ep = _free_edge_perm(g, vp, p)
+        if ep is not None:
+            return Automorphism(vp, ep)
+    return None
 
 
 def girth(g: MultiGraph) -> int:

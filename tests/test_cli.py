@@ -193,6 +193,21 @@ def test_oracle_find_period(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "automorphisms", "--graph", "complete:5"),
+        ("oracle", "find-period", "--graph", "complete:7", "--p", "5"),
+        ("quotient", "--graph", "complete:7", "--p", "5"),
+    ],
+)
+def test_search_budget_exits_2(capsys, monkeypatch, argv):
+    monkeypatch.setattr("graphperiod.symmetry.SEARCH_NODE_BUDGET", 10)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.strip() == "error: search budget of 10 nodes exceeded"
+
+
 def test_oracle_automorphism_count(capsys):
     code, out, _ = run(
         capsys, "oracle", "automorphisms", "--graph", "cycle:4", "--json"

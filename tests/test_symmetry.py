@@ -1,11 +1,18 @@
 from __future__ import annotations
 
 import json
+import random
+from itertools import permutations
 
 import pytest
 
+from graphperiod import criteria, symmetry
 from graphperiod.graphs import MultiGraph, canonical_key, named_graph, parse_edge_list
-from graphperiod.families import connected_simple_graphs
+from graphperiod.families import (
+    connected_simple_graphs,
+    loop_parallel_variants,
+    random_multigraph,
+)
 from graphperiod.symmetry import (
     Automorphism,
     NotAFreePeriodError,
@@ -17,7 +24,9 @@ from graphperiod.symmetry import (
     quotient_graph,
     validate_automorphism,
 )
-from conftest import cycle_rotation
+from conftest import cycle_rotation, free_period_by_enumeration
+
+PRIMES = (2, 3, 5, 7)
 
 
 # -- enumeration ------------------------------------------------------------
@@ -50,6 +59,38 @@ def test_all_enumerated_are_valid():
     for g in (named_graph("petersen"), named_graph("theta", 2), named_graph("cycle", 5)):
         for h in enumerate_automorphisms(g):
             validate_automorphism(g, h)
+
+
+def _brute_force_automorphisms(g):
+    """Every vertex permutation preserving the endpoint multiset, in
+    lexicographic order, with parallel classes mapped ascending."""
+    classes = {}
+    for e, pair in enumerate(g.endpoints):
+        classes.setdefault(pair, []).append(e)
+    out = []
+    for vp in permutations(range(g.vertex_count)):
+        image = {}
+        for (u, v), members in classes.items():
+            pair = tuple(sorted((vp[u], vp[v])))
+            if len(classes.get(pair, ())) != len(members):
+                break
+            image.update(zip(members, classes[pair]))
+        else:
+            out.append((vp, tuple(image[e] for e in range(g.edge_count))))
+    return out
+
+
+def test_enumeration_matches_brute_force(small_connected_family):
+    rng = random.Random(5)
+    graphs = [v for g in small_connected_family for v in loop_parallel_variants(g)]
+    graphs += [random_multigraph(rng, max_vertices=5, max_edges=8) for _ in range(40)]
+    graphs += [MultiGraph(0), MultiGraph(3)]
+    for g in graphs:
+        autos = enumerate_automorphisms(g)
+        assert isinstance(autos, list)
+        assert [(h.vertex_perm, h.edge_perm) for h in autos] == (
+            _brute_force_automorphisms(g)
+        ), g
 
 
 def test_petersen_vertex_transitive():
@@ -108,6 +149,74 @@ def test_found_periods_power_to_identity(small_connected_family):
             assert h.order() == p
             _, edge_orbits = orbits(g, h)
             assert all(len(orbit) == p for orbit in edge_orbits)
+
+
+# -- direct search against the enumeration oracle ------------------------------
+
+
+def _assert_same_witness(g, p):
+    assert find_free_period(g, p) == free_period_by_enumeration(g, p), (g, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_search_matches_enumeration_on_small_family(small_connected_family, p):
+    for g in small_connected_family:
+        for variant in loop_parallel_variants(g):
+            _assert_same_witness(variant, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_search_matches_enumeration_on_random_multigraphs(p):
+    rng = random.Random(20140101)
+    graphs = [random_multigraph(rng, max_vertices=7, max_edges=12) for _ in range(300)]
+    assert any(u == v for g in graphs for u, v in g.endpoints)
+    assert any(len(set(g.endpoints)) < g.edge_count for g in graphs)
+    for g in graphs:
+        _assert_same_witness(g, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("n", [0, 3])
+def test_search_matches_enumeration_on_edgeless(n, p):
+    _assert_same_witness(MultiGraph(n), p)
+
+
+@pytest.mark.parametrize(
+    "n, p, witness",
+    [(9, 3, (1, 2, 0, 4, 5, 3, 7, 8, 6)), (8, 7, (0, 2, 3, 4, 5, 6, 7, 1))],
+)
+def test_complete_graph_first_witness(n, p, witness):
+    h = find_free_period(named_graph("complete", n), p)
+    assert h is not None and h.vertex_perm == witness
+    assert h.order() == p and not h.fixes_an_edge()
+
+
+# -- the search budget -----------------------------------------------------------
+
+
+def test_budget_counts_search_nodes(monkeypatch):
+    # K4: 4 + 12 + 24 + 24 partial maps consistent with adjacency
+    k4 = named_graph("complete", 4)
+    monkeypatch.setattr(symmetry, "SEARCH_NODE_BUDGET", 64)
+    assert len(enumerate_automorphisms(k4)) == 24
+    monkeypatch.setattr(symmetry, "SEARCH_NODE_BUDGET", 63)
+    with pytest.raises(OracleLimitError, match="budget of 63 nodes"):
+        enumerate_automorphisms(k4)
+
+
+def test_budget_bounds_period_search(monkeypatch):
+    monkeypatch.setattr(symmetry, "SEARCH_NODE_BUDGET", 10)
+    with pytest.raises(OracleLimitError, match="budget of 10 nodes"):
+        find_free_period(named_graph("complete", 7), 5)
+
+
+def test_exclusion_report_notes_exceeded_budget(monkeypatch):
+    monkeypatch.setattr(symmetry, "SEARCH_NODE_BUDGET", 10)
+    reports = criteria.exclusion_report(
+        named_graph("complete", 7), [5], use_oracle=True
+    )
+    note = "oracle: skipped, search budget of 10 nodes exceeded"
+    assert len(reports) == 2 and all(note in r.notes for r in reports)
 
 
 # -- orbits ---------------------------------------------------------------------
