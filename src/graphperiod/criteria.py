@@ -280,16 +280,12 @@ def _difference_violations(lhs: ModPolynomial, rhs: ModPolynomial):
     return _sorted_violations(diff.terms, diff.variables)
 
 
-def check_negami_quotient_congruence(
-    g, h, p, *, graph_label=None, negami=None
-) -> CriterionReport:
+def check_negami_quotient_congruence(g, h, p, *, graph_label=None) -> CriterionReport:
     """N_G == (N_Gbar)^p modulo (p, u^p - u), as folded canonical forms."""
     _require_connected(g, "thm3.1")
     validate_free_period(g, h, p)
     quotient = quotient_graph(g, h).quotient
-    if negami is None:
-        negami = negami_polynomial(g)
-    lhs = reduce_mod_p(negami.polynomial, p).fold_variable("u")
+    lhs = reduce_mod_p(negami_polynomial(g).polynomial, p).fold_variable("u")
     rhs = power_mod(
         reduce_mod_p(negami_polynomial(quotient).polynomial, p), p, ("u",)
     )
@@ -307,9 +303,7 @@ def check_negami_quotient_congruence(
     )
 
 
-def check_tutte_quotient_congruence(
-    g, h, p, *, graph_label=None, tutte=None
-) -> CriterionReport:
+def check_tutte_quotient_congruence(g, h, p, *, graph_label=None) -> CriterionReport:
     """T_G == (T_Gbar)^p modulo (p, s^p - s, t^p - t), compared after
     premultiplying each side by its specialization monomial:
 
@@ -321,20 +315,15 @@ def check_tutte_quotient_congruence(
     validate_free_period(g, h, p)
     quotient = quotient_graph(g, h).quotient
 
-    def premultiplied(graph, shifted):
+    def premultiplied(graph):
+        shifted = tutte_deletion_contraction(graph).shifted
         monomial = Polynomial.monomial(
             TUTTE_SHIFTED_VARS, (1, graph.vertex_count)
         )
         return reduce_mod_p(monomial * shifted, p)
 
-    if tutte is None:
-        tutte = tutte_deletion_contraction(g).shifted
-    lhs = premultiplied(g, tutte).fold(TUTTE_SHIFTED_VARS)
-    rhs = power_mod(
-        premultiplied(quotient, tutte_deletion_contraction(quotient).shifted),
-        p,
-        TUTTE_SHIFTED_VARS,
-    )
+    lhs = premultiplied(g).fold(TUTTE_SHIFTED_VARS)
+    rhs = power_mod(premultiplied(quotient), p, TUTTE_SHIFTED_VARS)
     violations = _difference_violations(lhs, rhs)
     return CriterionReport(
         criterion="cor3.2",
@@ -351,18 +340,14 @@ def check_tutte_quotient_congruence(
     )
 
 
-def check_chromatic_vanishing(
-    g, h, p, *, graph_label=None, chromatic=None
-) -> CriterionReport:
+def check_chromatic_vanishing(g, h, p, *, graph_label=None) -> CriterionReport:
     """P_G == (P_Gbar)^p modulo (p, λ^p - λ); a loop in the quotient zeroes
     the right side, so P_G must fold to zero."""
     _require_connected(g, "chromatic-remark")
     validate_free_period(g, h, p)
     quotient = quotient_graph(g, h).quotient
     lam = CHROMATIC_VARS[0]
-    if chromatic is None:
-        chromatic = chromatic_deletion_contraction(g)
-    lhs = reduce_mod_p(chromatic, p).fold_variable(lam)
+    lhs = reduce_mod_p(chromatic_deletion_contraction(g), p).fold_variable(lam)
     has_loop = any(u == v for u, v in quotient.endpoints)
     if has_loop:
         rhs = reduce_mod_p(Polynomial.zero(CHROMATIC_VARS), p)

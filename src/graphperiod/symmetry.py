@@ -137,27 +137,27 @@ def automorphism_from_vertex_perm(g: MultiGraph, vertex_perm) -> Automorphism:
     vp = tuple(vertex_perm)
     if sorted(vp) != list(range(g.vertex_count)):
         raise ValueError("vertex_perm is not a permutation of the vertices")
-    try:
-        h = Automorphism(vp, _induced_edge_perm(_edge_index(g), vp))
-    except (KeyError, IndexError):
-        raise ValueError("vertex permutation is not an automorphism") from None
+    edges, classes = _edge_index(g)
+    for (u, v), members in classes.items():
+        if len(classes.get((vp[u], vp[v]), ())) != len(members):
+            raise ValueError("vertex permutation is not an automorphism")
+    h = Automorphism(vp, _induced_edge_perm((edges, classes), vp))
     validate_automorphism(g, h)
     return h
 
 
-def _vertex_automorphisms(g: MultiGraph, *, lexicographic=False, prune=None):
+def _vertex_automorphisms(g: MultiGraph, *, period=None):
     """Vertex permutations preserving loop counts and adjacency
     multiplicities, by backtracking: each vertex in turn takes an image of
     its refined colour and loop count that keeps the multiplicities to every
     vertex placed before it.
 
-    With ``lexicographic`` the vertices are placed in order 0, 1, ... and
-    candidates are tried ascending, so permutations come out in
-    vertex-lexicographic order; otherwise a BFS order is used, which meets
-    adjacency constraints sooner.  ``prune``, if given, is called as
-    ``prune(loops, adj, colors, image, preimage)`` and returns a step
-    ``step(v, w)`` consulted after v is mapped to w (``image`` and
-    ``preimage`` already updated); a false result cuts the branch.
+    Without ``period`` every automorphism is yielded, placing the vertices
+    in a BFS order, which meets adjacency constraints sooner.  With a prime
+    ``period`` p the vertices are placed in order 0, 1, ... and candidates
+    are tried ascending, so permutations come out in vertex-lexicographic
+    order, and every branch that cannot extend to a free action of order p
+    is cut (see ``_period_step``).
 
     Raises OracleLimitError once the search visits more than
     SEARCH_NODE_BUDGET nodes.
@@ -169,9 +169,13 @@ def _vertex_automorphisms(g: MultiGraph, *, lexicographic=False, prune=None):
     loops, adj = _adjacency(g)
     colors = _refine(n, adj, loops, [0] * n)
 
-    if lexicographic:
+    image = [-1] * n
+    preimage = [-1] * n
+    if period is not None:
         order = list(range(n))
+        step = _period_step(period, loops, adj, colors, image, preimage)
     else:
+        step = None
         order = []
         seen = [False] * n
         for root in range(n):
@@ -191,9 +195,6 @@ def _vertex_automorphisms(g: MultiGraph, *, lexicographic=False, prune=None):
         [w for w in range(n) if colors[w] == colors[v] and loops[w] == loops[v]]
         for v in range(n)
     ]
-    image = [-1] * n
-    preimage = [-1] * n
-    step = prune(loops, adj, colors, image, preimage) if prune else None
     budget = SEARCH_NODE_BUDGET
     nodes = 0
 
@@ -292,9 +293,11 @@ def _free_edge_perm(g: MultiGraph, vp, p):
     return tuple(ep)
 
 
-def _period_prune(p):
-    """Pruning step for the free-period search at prime p.  A branch dies
-    as soon as it cannot extend to an h with h^p = id whose fixed edge
+def _period_step(p, loops, adj, colors, image, preimage):
+    """The pruning step ``step(v, w)`` of the free-period search at prime p,
+    over the search's own adjacency, colours and partial map; it is called
+    after v is mapped to w and returns False to cut the branch.  A branch
+    dies as soon as it cannot extend to an h with h^p = id whose fixed edge
     classes all have multiplicity divisible by p:
 
     * the cycle through the new arrow closes with a length other than 1 or
@@ -308,66 +311,62 @@ def _period_prune(p):
       fixed vertices is divisible by p) outnumber the unplaced vertices
       that could still be fixed.
     """
+    cells = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
 
-    def factory(loops, adj, colors, image, preimage):
-        cells = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
+    def fixable(x):
+        # x may be fixed beside the vertices fixed so far
+        return loops[x] % p == 0 and all(
+            m % p == 0 for y, m in adj[x].items() if image[y] == y
+        )
 
-        def fixable(x):
-            # x may be fixed beside the vertices fixed so far
-            return loops[x] % p == 0 and all(
-                m % p == 0 for y, m in adj[x].items() if image[y] == y
-            )
-
-        def step(v, w):
-            if w == v:
-                if not fixable(v):
-                    return False
-            elif p == 2 and adj[v].get(w, 0) % 2:
+    def step(v, w):
+        if w == v:
+            if not fixable(v):
                 return False
-            # the cycle, or the open chain, through the arrow v -> w
-            length, x = 1, w
-            while x != v and x != -1:
+        elif p == 2 and adj[v].get(w, 0) % 2:
+            return False
+        # the cycle, or the open chain, through the arrow v -> w
+        length, x = 1, w
+        while x != v and x != -1:
+            length += 1
+            x = image[x]
+        if x == v:
+            if length != 1 and length != p:
+                return False
+        else:
+            x = preimage[v]
+            while x != -1:
                 length += 1
-                x = image[x]
-            if x == v:
-                if length != 1 and length != p:
-                    return False
-            else:
-                x = preimage[v]
-                while x != -1:
-                    length += 1
-                    x = preimage[x]
-                if length > p:
-                    return False
-
-            cell = cells[colors[v]]
-            fixed = unplaced = 0
-            for x in cell:
-                if image[x] == x:
-                    fixed += 1
-                elif image[x] == -1 and preimage[x] == -1:
-                    unplaced += 1
-            # the moved vertices end on p-cycles, so the open chains need
-            # (-moved) mod p unplaced vertices, and (|cell| - fixed) mod p
-            # unplaced vertices must end fixed
-            if unplaced < (fixed + unplaced - len(cell)) % p:
+                x = preimage[x]
+            if length > p:
                 return False
-            need = (len(cell) - fixed) % p
-            if need:
-                for x in cell:
-                    if image[x] == -1 and preimage[x] == -1 and fixable(x):
-                        need -= 1
-                        if not need:
-                            break
-                else:
-                    return False
-            return True
 
-        return step
+        cell = cells[colors[v]]
+        fixed = unplaced = 0
+        for x in cell:
+            if image[x] == x:
+                fixed += 1
+            elif image[x] == -1 and preimage[x] == -1:
+                unplaced += 1
+        # the moved vertices end on p-cycles, so the open chains need
+        # (-moved) mod p unplaced vertices, and (|cell| - fixed) mod p
+        # unplaced vertices must end fixed
+        if unplaced < (fixed + unplaced - len(cell)) % p:
+            return False
+        need = (len(cell) - fixed) % p
+        if need:
+            for x in cell:
+                if image[x] == -1 and preimage[x] == -1 and fixable(x):
+                    need -= 1
+                    if not need:
+                        break
+            else:
+                return False
+        return True
 
-    return factory
+    return step
 
 
 def find_free_period(g: MultiGraph, p: int, *, limit=DEFAULT_VERTEX_LIMIT):
@@ -375,7 +374,7 @@ def find_free_period(g: MultiGraph, p: int, *, limit=DEFAULT_VERTEX_LIMIT):
     whose edge permutation has no fixed point, or None.
 
     The search places vertices 0, 1, ... in turn and cuts every branch that
-    cannot extend to a free action of order p (see ``_period_prune``), so
+    cannot extend to a free action of order p (see ``_period_step``), so
     it stops at the first witness instead of listing Aut(G).  The identity
     vertex permutation is considered too: parallel classes of multiplicity
     divisible by p admit a free edge action on their own.
@@ -384,7 +383,7 @@ def find_free_period(g: MultiGraph, p: int, *, limit=DEFAULT_VERTEX_LIMIT):
         raise ValueError(f"period must be prime, got {p}")
     _check_vertex_limit(g, limit)
     identity_v = tuple(range(g.vertex_count))
-    for vp in _vertex_automorphisms(g, lexicographic=True, prune=_period_prune(p)):
+    for vp in _vertex_automorphisms(g, period=p):
         if vp == identity_v and g.edge_count == 0:
             continue  # the identity pair has order 1, not p
         ep = _free_edge_perm(g, vp, p)

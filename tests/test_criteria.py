@@ -4,7 +4,6 @@ import pytest
 
 from graphperiod.graphs import named_graph, parse_edge_list
 from graphperiod.invariants import (
-    chromatic_deletion_contraction,
     negami_polynomial,
     negami_subset_expansion,
     tutte_deletion_contraction,
@@ -189,40 +188,6 @@ def test_quotient_congruence_rejects_bad_witness():
     swap = automorphism_from_vertex_perm(g, (1, 0))
     with pytest.raises(NotAFreePeriodError):
         check_negami_quotient_congruence(g, swap, 2)
-
-
-_QUOTIENT_CHECK_KEYWORDS = (
-    (check_negami_quotient_congruence, "negami", negami_polynomial),
-    (
-        check_tutte_quotient_congruence,
-        "tutte",
-        lambda g: tutte_deletion_contraction(g).shifted,
-    ),
-    (check_chromatic_vanishing, "chromatic", chromatic_deletion_contraction),
-)
-
-
-@pytest.mark.parametrize(
-    "g, p",
-    [
-        (PETERSEN, 5),
-        (named_graph("complete", 7), 7),
-        (parse_edge_list("n 4\ne 0 1\ne 0 2\ne 0 3"), 3),
-        (named_graph("theta", 3), 3),
-    ],
-)
-def test_quotient_checks_accept_precomputed_polynomials(g, p):
-    h = find_free_period(g, p)
-    for check, keyword, compute in _QUOTIENT_CHECK_KEYWORDS:
-        assert check(g, h, p, **{keyword: compute(g)}) == check(g, h, p)
-
-
-def test_quotient_checks_read_the_precomputed_polynomial():
-    h = find_free_period(PETERSEN, 5)
-    other = named_graph("cycle", 4)
-    for check, keyword, compute in _QUOTIENT_CHECK_KEYWORDS:
-        report = check(PETERSEN, h, 5, **{keyword: compute(other)})
-        assert report.verdict == "fail", keyword
 
 
 # -- chromatic remark ------------------------------------------------------------------

@@ -246,6 +246,22 @@ def test_c6_rotation_by_two():
     assert sorted(len(o) for o in edge_orbits) == [3, 3]
 
 
+@pytest.mark.parametrize(
+    "text, vp",
+    [
+        ("n 3\ne 0 1\ne 1 2", (1, 0, 2)),  # {0, 2} is not an edge
+        ("n 2\ne 0 0\ne 0 1", (1, 0)),  # no loop at 1
+        # the simple edge {1, 2} onto the triple class {0, 1}, and back
+        ("n 3\ne 0 1\ne 0 1\ne 0 1\ne 1 2", (2, 1, 0)),
+        ("n 4\ne 0 1\ne 0 1\ne 2 3", (2, 3, 0, 1)),
+    ],
+)
+def test_vertex_perm_of_non_automorphism_rejected(text, vp):
+    g = parse_edge_list(text)
+    with pytest.raises(ValueError, match="not an automorphism"):
+        automorphism_from_vertex_perm(g, vp)
+
+
 def test_orbits_rejects_incompatible_pair():
     g = named_graph("cycle", 3)
     bad = Automorphism((1, 0, 2), (0, 1, 2))
