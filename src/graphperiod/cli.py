@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import criteria as crit
 from . import invariants as inv
@@ -32,24 +31,6 @@ EXIT_FAIL = 1
 EXIT_ERROR = 2
 
 _NAMED = {"empty", "path", "cycle", "complete", "theta", "petersen", "frucht"}
-
-
-@dataclass
-class CommandRequest:
-    subcommand: str
-    graph_spec: str
-    json_output: bool = False
-    primes: tuple = ()
-    prime: int | None = None
-    modulus: int | None = None
-    fold: bool = False
-    classic: bool = False
-    invariant: str = ""
-    criterion: str = ""
-    assert_self_dual: bool = False
-    use_oracle: bool = False
-    oracle_action: str = ""
-    oracle_limit: int = DEFAULT_VERTEX_LIMIT
 
 
 def load_graph(spec: str) -> tuple[MultiGraph, str]:
@@ -91,6 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--graph", required=True, help="named spec or file path")
         p.add_argument("--json", action="store_true", help="JSON output")
+
+    def add_searching(p):
+        add_common(p)
         p.add_argument(
             "--oracle-limit",
             type=int,
@@ -116,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run one criterion")
     p_check.add_argument("criterion", choices=crit.CRITERION_IDS)
-    add_common(p_check)
+    add_searching(p_check)
     p_check.add_argument("--p", type=int, required=True)
     p_check.add_argument(
         "--assert-self-dual",
@@ -125,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_exclude = sub.add_parser("exclude", help="batch criteria over primes")
-    add_common(p_exclude)
+    add_searching(p_exclude)
     p_exclude.add_argument(
         "--primes", required=True, help="comma-separated primes, e.g. 2,3,5"
     )
@@ -138,79 +122,66 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="symmetry oracle access")
     oracle_sub = p_oracle.add_subparsers(dest="oracle_action", required=True)
     p_period = oracle_sub.add_parser("find-period", help="search a free period")
-    add_common(p_period)
+    add_searching(p_period)
     p_period.add_argument("--p", type=int, required=True)
     p_autos = oracle_sub.add_parser("automorphisms", help="enumerate automorphisms")
-    add_common(p_autos)
+    add_searching(p_autos)
 
     p_quotient = sub.add_parser("quotient", help="orbits and quotient graph")
-    add_common(p_quotient)
+    add_searching(p_quotient)
     p_quotient.add_argument("--p", type=int, required=True)
 
     return parser
 
 
-def request_from_args(args: argparse.Namespace) -> CommandRequest:
-    request = CommandRequest(
-        subcommand=args.subcommand,
-        graph_spec=args.graph,
-        json_output=args.json,
-        oracle_limit=args.oracle_limit,
-    )
+def request_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Check the parsed arguments argparse cannot: primes, and that --fold
+    comes with --mod; returns ``args``, with --primes as a tuple."""
     if getattr(args, "p", None) is not None:
-        request.prime = _check_prime(args.p)
+        _check_prime(args.p)
     if getattr(args, "mod", None) is not None:
-        request.modulus = _check_prime(args.mod)
+        _check_prime(args.mod)
     if getattr(args, "primes", None):
-        request.primes = tuple(
-            _check_prime(int(chunk))
-            for chunk in args.primes.split(",")
-            if chunk
+        args.primes = tuple(
+            _check_prime(int(chunk)) for chunk in args.primes.split(",") if chunk
         )
-        if not request.primes:
+        if not args.primes:
             raise ValueError("--primes must list at least one prime")
-    request.fold = getattr(args, "fold", False)
-    request.classic = getattr(args, "classic", False)
-    request.invariant = getattr(args, "invariant", "")
-    request.criterion = getattr(args, "criterion", "")
-    request.assert_self_dual = getattr(args, "assert_self_dual", False)
-    request.use_oracle = getattr(args, "oracle", False)
-    request.oracle_action = getattr(args, "oracle_action", "") or ""
-    if request.fold and request.modulus is None:
+    if getattr(args, "fold", False) and args.mod is None:
         raise ValueError("--fold requires --mod")
-    return request
+    return args
 
 
-def _compute_polynomial(request: CommandRequest, g: MultiGraph):
-    kind = request.invariant
+def _compute_polynomial(args: argparse.Namespace, g: MultiGraph):
+    kind = args.invariant
     if kind == "tutte":
         pair = inv.tutte_deletion_contraction(g)
-        poly = pair.classic if request.classic else pair.shifted
+        poly = pair.classic if args.classic else pair.shifted
     elif kind == "negami":
         poly = inv.negami_polynomial(g).polynomial
     else:
         poly = inv.chromatic_deletion_contraction(g)
-    if request.modulus is not None:
-        poly = reduce_mod_p(poly, request.modulus)
-        if request.fold:
+    if args.mod is not None:
+        poly = reduce_mod_p(poly, args.mod)
+        if args.fold:
             # fold the variables the congruences quotient by: only u for the
             # three-variable Negami polynomial, every variable otherwise
             poly = poly.fold(("u",) if kind == "negami" else poly.variables)
     return poly
 
 
-def run(request: CommandRequest) -> int:
-    g, label = load_graph(request.graph_spec)
+def run(args: argparse.Namespace) -> int:
+    g, label = load_graph(args.graph)
 
-    if request.subcommand == "compute":
-        poly = _compute_polynomial(request, g)
-        if request.json_output:
+    if args.subcommand == "compute":
+        poly = _compute_polynomial(args, g)
+        if args.json:
             payload = {
                 "graph": label,
-                "invariant": request.invariant,
+                "invariant": args.invariant,
                 "variables": list(poly.variables),
-                "modulus": request.modulus,
-                "folded": request.fold,
+                "modulus": args.mod,
+                "folded": args.fold,
                 "polynomial": str(poly),
             }
             print(json.dumps(payload, ensure_ascii=False))
@@ -218,24 +189,24 @@ def run(request: CommandRequest) -> int:
             print(poly)
         return EXIT_PASS
 
-    if request.subcommand == "check":
-        report = _run_check(request, g, label)
-        if request.json_output:
+    if args.subcommand == "check":
+        report = _run_check(args, g, label)
+        if args.json:
             print(report.to_json())
         else:
             print(crit.render_report(report))
         return EXIT_PASS if report.passed else EXIT_FAIL
 
-    if request.subcommand == "exclude":
+    if args.subcommand == "exclude":
         reports = crit.exclusion_report(
             g,
-            request.primes,
+            args.primes,
             graph_label=label,
-            use_oracle=request.use_oracle,
-            oracle_limit=request.oracle_limit,
+            use_oracle=args.oracle,
+            oracle_limit=args.oracle_limit,
         )
         excluded = crit.excluded_primes(reports)
-        if request.json_output:
+        if args.json:
             payload = {
                 "graph": label,
                 "excluded": excluded,
@@ -243,7 +214,7 @@ def run(request: CommandRequest) -> int:
             }
             print(json.dumps(payload, ensure_ascii=False))
         else:
-            for p in sorted(set(request.primes)):
+            for p in sorted(set(args.primes)):
                 verdict = "excluded" if p in excluded else "not excluded"
                 failing = sorted(
                     r.criterion
@@ -257,24 +228,24 @@ def run(request: CommandRequest) -> int:
                 print(crit.render_report(report))
         return EXIT_FAIL if excluded else EXIT_PASS
 
-    if request.subcommand == "oracle":
-        if request.oracle_action == "find-period":
-            witness = find_free_period(g, request.prime, limit=request.oracle_limit)
-            if request.json_output:
+    if args.subcommand == "oracle":
+        if args.oracle_action == "find-period":
+            witness = find_free_period(g, args.p, limit=args.oracle_limit)
+            if args.json:
                 payload = {
                     "graph": label,
-                    "p": request.prime,
+                    "p": args.p,
                     "found": witness is not None,
                     "automorphism": witness.to_dict() if witness else None,
                 }
                 print(json.dumps(payload, ensure_ascii=False))
             elif witness is None:
-                print(f"no free period of order {request.prime}")
+                print(f"no free period of order {args.p}")
             else:
                 print(json.dumps(witness.to_dict()))
             return EXIT_PASS if witness is not None else EXIT_FAIL
-        autos = enumerate_automorphisms(g, limit=request.oracle_limit)
-        if request.json_output:
+        autos = enumerate_automorphisms(g, limit=args.oracle_limit)
+        if args.json:
             payload = {
                 "graph": label,
                 "count": len(autos),
@@ -287,20 +258,20 @@ def run(request: CommandRequest) -> int:
                 print(json.dumps(a.to_dict()))
         return EXIT_PASS
 
-    if request.subcommand == "quotient":
-        witness = find_free_period(g, request.prime, limit=request.oracle_limit)
+    if args.subcommand == "quotient":
+        witness = find_free_period(g, args.p, limit=args.oracle_limit)
         if witness is None:
             print(
-                f"no free period of order {request.prime}; no quotient exists",
+                f"no free period of order {args.p}; no quotient exists",
                 file=sys.stderr,
             )
             return EXIT_FAIL
         qmap = quotient_graph(g, witness)
         vertex_orbits, edge_orbits = orbits(g, witness)
-        if request.json_output:
+        if args.json:
             payload = {
                 "graph": label,
-                "p": request.prime,
+                "p": args.p,
                 "automorphism": witness.to_dict(),
                 "vertex_orbits": [list(o) for o in vertex_orbits],
                 "edge_orbits": [list(o) for o in edge_orbits],
@@ -315,23 +286,23 @@ def run(request: CommandRequest) -> int:
             print(render_edge_list(qmap.quotient), end="")
         return EXIT_PASS
 
-    raise ValueError(f"unknown subcommand {request.subcommand!r}")
+    raise ValueError(f"unknown subcommand {args.subcommand!r}")
 
 
-def _run_check(request: CommandRequest, g: MultiGraph, label: str):
-    cid = request.criterion
-    p = request.prime
+def _run_check(args: argparse.Namespace, g: MultiGraph, label: str):
+    cid = args.criterion
+    p = args.p
     if cid == "thm1.1":
         return crit.check_negami_shape(g, p, graph_label=label)
     if cid == "cor1.2":
         return crit.check_tutte_coefficients(g, p, graph_label=label)
     if cid == "cor1.3":
-        if not request.assert_self_dual:
+        if not args.assert_self_dual:
             raise ValueError("cor1.3 requires --assert-self-dual")
         return crit.check_selfdual_vertex_count(
-            g, p, request.assert_self_dual, graph_label=label
+            g, p, args.assert_self_dual, graph_label=label
         )
-    witness = find_free_period(g, p, limit=request.oracle_limit)
+    witness = find_free_period(g, p, limit=args.oracle_limit)
     if witness is None:
         raise ValueError(
             f"{cid} needs a free period of order {p} as witness and the "
@@ -351,8 +322,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_ERROR if exc.code else EXIT_PASS
     try:
-        request = request_from_args(args)
-        return run(request)
+        return run(request_from_args(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

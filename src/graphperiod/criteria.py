@@ -45,11 +45,10 @@ from .invariants import (
     tutte_deletion_contraction,
 )
 from .polynomials import (
-    ModPolynomial,
     Polynomial,
     power_mod,
     reduce_mod_p,
-    render_terms,
+    render_monomial,
 )
 from .symmetry import (
     DEFAULT_VERTEX_LIMIT,
@@ -169,20 +168,22 @@ def _require_connected(g: MultiGraph, criterion: str):
         )
 
 
-def _sorted_violations(terms: dict, variables) -> tuple:
-    out = []
-    for exps in sorted(terms, key=lambda e: tuple(reversed(e))):
-        out.append(
-            Violation(
-                monomial=render_terms(variables, {exps: 1}),
-                coefficient=terms[exps],
-            )
-        )
-    return tuple(out)
-
-
-def _verdict(violations) -> str:
-    return "fail" if violations else "pass"
+def _report(criterion, g, p, graph_label, terms, variables, *notes) -> CriterionReport:
+    """The report of one check: ``terms`` (exponents -> coefficient over
+    ``variables``) are its violations, listed with the last variable most
+    significant; any violation fails it."""
+    violations = tuple([
+        Violation(monomial=render_monomial(variables, exps), coefficient=terms[exps])
+        for exps in sorted(terms, key=lambda e: tuple(reversed(e)))
+    ])
+    return CriterionReport(
+        criterion=criterion,
+        graph=graph_label or _default_label(g),
+        p=p,
+        verdict="fail" if violations else "pass",
+        violations=violations,
+        notes=notes,
+    )
 
 
 # -- criteria on the graph alone ---------------------------------------------
@@ -199,13 +200,8 @@ def check_negami_shape(g, p, *, graph_label=None, negami=None) -> CriterionRepor
         for exps, coeff in reduced.terms.items()
         if exps[2] % p != 0
     }
-    return CriterionReport(
-        criterion="thm1.1",
-        graph=graph_label or _default_label(g),
-        p=p,
-        verdict=_verdict(bad),
-        violations=_sorted_violations(bad, reduced.variables),
-        notes=(f"q = {negami.edge_count}",),
+    return _report(
+        "thm1.1", g, p, graph_label, bad, reduced.variables, f"q = {negami.edge_count}"
     )
 
 
@@ -221,14 +217,8 @@ def check_tutte_coefficients(g, p, *, graph_label=None, tutte=None) -> Criterion
         for exps, coeff in reduced.terms.items()
         if (exps[1] - exps[0] - (1 - r)) % p != 0
     }
-    return CriterionReport(
-        criterion="cor1.2",
-        graph=graph_label or _default_label(g),
-        p=p,
-        verdict=_verdict(bad),
-        violations=_sorted_violations(bad, reduced.variables),
-        notes=(f"r = {r}, required j - i == {(1 - r) % p} (mod {p})",),
-    )
+    note = f"r = {r}, required j - i == {(1 - r) % p} (mod {p})"
+    return _report("cor1.2", g, p, graph_label, bad, reduced.variables, note)
 
 
 def check_selfdual_vertex_count(
@@ -275,32 +265,29 @@ def check_selfdual_vertex_count(
 # -- quotient-witness criteria ------------------------------------------------
 
 
-def _difference_violations(lhs: ModPolynomial, rhs: ModPolynomial):
-    diff = lhs - rhs
-    return _sorted_violations(diff.terms, diff.variables)
+def _quotient_difference(criterion, g, h, p, polynomial, fold_names):
+    """The quotient Gbar of G by the free period h, and
+    fold(P(G) mod p) - fold(P(Gbar)^p mod p) for P = ``polynomial``, folded
+    in ``fold_names``: the congruence holds iff the difference is zero."""
+    _require_connected(g, criterion)
+    validate_free_period(g, h, p)
+    quotient = quotient_graph(g, h).quotient
+    lhs = reduce_mod_p(polynomial(g), p).fold(fold_names)
+    rhs = power_mod(reduce_mod_p(polynomial(quotient), p), p, fold_names)
+    return quotient, lhs - rhs
+
+
+def _quotient_shape(quotient) -> str:
+    return f"quotient has {quotient.vertex_count} vertices, {quotient.edge_count} edges"
 
 
 def check_negami_quotient_congruence(g, h, p, *, graph_label=None) -> CriterionReport:
     """N_G == (N_Gbar)^p modulo (p, u^p - u), as folded canonical forms."""
-    _require_connected(g, "thm3.1")
-    validate_free_period(g, h, p)
-    quotient = quotient_graph(g, h).quotient
-    lhs = reduce_mod_p(negami_polynomial(g).polynomial, p).fold_variable("u")
-    rhs = power_mod(
-        reduce_mod_p(negami_polynomial(quotient).polynomial, p), p, ("u",)
+    quotient, diff = _quotient_difference(
+        "thm3.1", g, h, p, lambda graph: negami_polynomial(graph).polynomial, ("u",)
     )
-    violations = _difference_violations(lhs, rhs)
-    return CriterionReport(
-        criterion="thm3.1",
-        graph=graph_label or _default_label(g),
-        p=p,
-        verdict=_verdict(violations),
-        violations=violations,
-        notes=(
-            f"quotient has {quotient.vertex_count} vertices, "
-            f"{quotient.edge_count} edges",
-        ),
-    )
+    shape = _quotient_shape(quotient)
+    return _report("thm3.1", g, p, graph_label, diff.terms, diff.variables, shape)
 
 
 def check_tutte_quotient_congruence(g, h, p, *, graph_label=None) -> CriterionReport:
@@ -311,60 +298,34 @@ def check_tutte_quotient_congruence(g, h, p, *, graph_label=None) -> CriterionRe
 
     which is the u -> st, x -> 1, y -> t image of the thm3.1 congruence and
     the strongest valid form of the Tutte-side statement."""
-    _require_connected(g, "cor3.2")
-    validate_free_period(g, h, p)
-    quotient = quotient_graph(g, h).quotient
 
     def premultiplied(graph):
-        shifted = tutte_deletion_contraction(graph).shifted
-        monomial = Polynomial.monomial(
-            TUTTE_SHIFTED_VARS, (1, graph.vertex_count)
-        )
-        return reduce_mod_p(monomial * shifted, p)
+        monomial = Polynomial.monomial(TUTTE_SHIFTED_VARS, (1, graph.vertex_count))
+        return monomial * tutte_deletion_contraction(graph).shifted
 
-    lhs = premultiplied(g).fold(TUTTE_SHIFTED_VARS)
-    rhs = power_mod(premultiplied(quotient), p, TUTTE_SHIFTED_VARS)
-    violations = _difference_violations(lhs, rhs)
-    return CriterionReport(
-        criterion="cor3.2",
-        graph=graph_label or _default_label(g),
-        p=p,
-        verdict=_verdict(violations),
-        violations=violations,
-        notes=(
-            "congruence checked in premultiplied form "
-            "s*t^r*T(s,t) == (s*t^rbar*Tbar(s,t))^p",
-            f"quotient has {quotient.vertex_count} vertices, "
-            f"{quotient.edge_count} edges",
-        ),
+    quotient, diff = _quotient_difference(
+        "cor3.2", g, h, p, premultiplied, TUTTE_SHIFTED_VARS
+    )
+    return _report(
+        "cor3.2", g, p, graph_label, diff.terms, diff.variables,
+        "congruence checked in premultiplied form "
+        "s*t^r*T(s,t) == (s*t^rbar*Tbar(s,t))^p",
+        _quotient_shape(quotient),
     )
 
 
 def check_chromatic_vanishing(g, h, p, *, graph_label=None) -> CriterionReport:
     """P_G == (P_Gbar)^p modulo (p, λ^p - λ); a loop in the quotient zeroes
     the right side, so P_G must fold to zero."""
-    _require_connected(g, "chromatic-remark")
-    validate_free_period(g, h, p)
-    quotient = quotient_graph(g, h).quotient
-    lam = CHROMATIC_VARS[0]
-    lhs = reduce_mod_p(chromatic_deletion_contraction(g), p).fold_variable(lam)
-    has_loop = any(u == v for u, v in quotient.endpoints)
-    if has_loop:
-        rhs = reduce_mod_p(Polynomial.zero(CHROMATIC_VARS), p)
+    quotient, diff = _quotient_difference(
+        "chromatic-remark", g, h, p, chromatic_deletion_contraction, CHROMATIC_VARS
+    )
+    if any(u == v for u, v in quotient.endpoints):
         note = "quotient has a loop, so the quotient chromatic polynomial is 0"
     else:
-        rhs = power_mod(
-            reduce_mod_p(chromatic_deletion_contraction(quotient), p), p, (lam,)
-        )
         note = "quotient is loopless; compared against the p-th power"
-    violations = _difference_violations(lhs, rhs)
-    return CriterionReport(
-        criterion="chromatic-remark",
-        graph=graph_label or _default_label(g),
-        p=p,
-        verdict=_verdict(violations),
-        violations=violations,
-        notes=(note,),
+    return _report(
+        "chromatic-remark", g, p, graph_label, diff.terms, diff.variables, note
     )
 
 
@@ -425,8 +386,4 @@ def exclusion_report(
 
 def excluded_primes(reports) -> list:
     """Primes for which at least one report in the batch failed."""
-    out = set()
-    for report in reports:
-        if report.verdict == "fail":
-            out.add(report.p)
-    return sorted(out)
+    return sorted({report.p for report in reports if report.verdict == "fail"})

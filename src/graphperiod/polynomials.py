@@ -476,7 +476,7 @@ def divide_exact_monomial(a: Polynomial, monomial: dict) -> Polynomial:
         if any(e < 0 for e in shifted):
             raise NonDivisibleTermError(
                 f"term {render_terms(a.variables, {exps: coeff})} is not divisible "
-                f"by {render_terms(a.variables, {offsets: 1})}"
+                f"by {render_monomial(a.variables, offsets)}"
             )
         table[shifted] = coeff
     return Polynomial(a.variables, table)
@@ -487,26 +487,30 @@ def divide_exact_monomial(a: Polynomial, monomial: dict) -> Polynomial:
 _TOKEN = re.compile(r"(\d+)|([^\W\d]\w*)|([+\-*^])|(\S)", re.UNICODE)
 
 
+def render_monomial(variables, exps) -> str:
+    """Render one monomial with coefficient 1: ``^`` for powers, ``*``
+    between factors; the empty product renders as ``1``."""
+    return "*".join(
+        name if e == 1 else f"{name}^{e}" for name, e in zip(variables, exps) if e
+    ) or "1"
+
+
 def render_terms(variables, terms) -> str:
     """Render a term table: ascending exponents with the last variable most
-    significant, ``^`` for powers, ``*`` between factors, unit coefficients
-    omitted.  The zero polynomial renders as ``0``."""
+    significant, each term as its monomial, unit coefficients omitted.  The
+    zero polynomial renders as ``0``."""
     if not terms:
         return "0"
     pieces = []
     for exps, coeff in sorted(terms.items(), key=lambda kv: tuple(reversed(kv[0]))):
-        factors = "*".join(
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(variables, exps)
-            if e
-        )
+        monomial = render_monomial(variables, exps)
         mag = abs(coeff)
-        if not factors:
+        if mag == 1:
+            body = monomial
+        elif monomial == "1":
             body = str(mag)
-        elif mag == 1:
-            body = factors
         else:
-            body = f"{mag}*{factors}"
+            body = f"{mag}*{monomial}"
         pieces.append((coeff < 0, body))
     negative, body = pieces[0]
     out = ("-" if negative else "") + body

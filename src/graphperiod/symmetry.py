@@ -251,45 +251,23 @@ def _free_edge_perm(g: MultiGraph, vp, p):
     """A compatible fixed-point-free edge permutation ep with ep^p = id for a
     vertex automorphism satisfying vp^p = id, or None.
 
-    Parallel classes are permuted by vp in orbits of size 1 or p.  Within a
-    p-orbit, mapping ascending ids to ascending ids around the orbit closes
-    up after p steps; a fixed class must have multiplicity divisible by p and
-    is cycled in blocks of p.
+    The induced permutation maps each parallel class onto its image class in
+    ascending id order, so on classes that vp moves (in orbits of size p) it
+    closes up after p steps.  It fixes every edge of a class that vp maps
+    onto itself; such a class must have multiplicity divisible by p and is
+    cycled in blocks of p instead.
     """
-    classes = _parallel_classes(g)
-    ep = [0] * g.edge_count
-    visited = set()
-    for start in sorted(classes):
-        if start in visited:
-            continue
-        orbit = [start]
-        a, b = start
-        while True:
-            na, nb = vp[a], vp[b]
-            nxt = (na, nb) if na <= nb else (nb, na)
-            if nxt == start:
-                break
-            orbit.append(nxt)
-            a, b = nxt
-        visited.update(orbit)
-        if len(orbit) == 1:
-            members = classes[start]
-            if len(members) % p != 0:
+    edges, classes = index = _edge_index(g)
+    ep = list(_induced_edge_perm(index, vp))
+    for e, (u, v, rank) in enumerate(edges):
+        if rank == 0 and ep[e] == e:
+            members = classes[u, v]
+            if len(members) % p:
                 return None
             for base in range(0, len(members), p):
                 block = members[base : base + p]
-                for i, e in enumerate(block):
-                    ep[e] = block[(i + 1) % p]
-        else:
-            if len(orbit) != p:
-                return None
-            for i in range(p):
-                src = classes[orbit[i]]
-                dst = classes[orbit[(i + 1) % p]]
-                if len(src) != len(dst):
-                    return None
-                for e_src, e_dst in zip(src, dst):
-                    ep[e_src] = e_dst
+                for i, f in enumerate(block):
+                    ep[f] = block[(i + 1) % p]
     return tuple(ep)
 
 

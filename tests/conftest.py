@@ -25,7 +25,6 @@ from graphperiod.invariants import CHROMATIC_VARS
 from graphperiod.polynomials import ModPolynomial, Polynomial
 from graphperiod.symmetry import (
     Automorphism,
-    _free_edge_perm,
     automorphism_from_vertex_perm,
     enumerate_automorphisms,
 )
@@ -93,6 +92,56 @@ def power_by_multiplication(a: ModPolynomial, k: int, fold_names) -> ModPolynomi
     return result
 
 
+def free_edge_perm_by_class_orbits(g: MultiGraph, vp, p):
+    """Independent oracle for symmetry._free_edge_perm: a compatible
+    fixed-point-free edge permutation ep with ep^p = id for a vertex
+    automorphism satisfying vp^p = id, or None, built by walking the orbit of
+    each parallel class.
+
+    Parallel classes are permuted by vp in orbits of size 1 or p.  Within a
+    p-orbit, mapping ascending ids to ascending ids around the orbit closes
+    up after p steps; a fixed class must have multiplicity divisible by p and
+    is cycled in blocks of p.
+    """
+    classes: dict = {}
+    for e, pair in enumerate(g.endpoints):
+        classes.setdefault(pair, []).append(e)
+    ep = [0] * g.edge_count
+    visited = set()
+    for start in sorted(classes):
+        if start in visited:
+            continue
+        orbit = [start]
+        a, b = start
+        while True:
+            na, nb = vp[a], vp[b]
+            nxt = (na, nb) if na <= nb else (nb, na)
+            if nxt == start:
+                break
+            orbit.append(nxt)
+            a, b = nxt
+        visited.update(orbit)
+        if len(orbit) == 1:
+            members = classes[start]
+            if len(members) % p != 0:
+                return None
+            for base in range(0, len(members), p):
+                block = members[base : base + p]
+                for i, e in enumerate(block):
+                    ep[e] = block[(i + 1) % p]
+        else:
+            if len(orbit) != p:
+                return None
+            for i in range(p):
+                src = classes[orbit[i]]
+                dst = classes[orbit[(i + 1) % p]]
+                if len(src) != len(dst):
+                    return None
+                for e_src, e_dst in zip(src, dst):
+                    ep[e_src] = e_dst
+    return tuple(ep)
+
+
 def free_period_by_enumeration(g: MultiGraph, p: int):
     """Independent oracle for find_free_period: walk the whole sorted
     automorphism list and return the first h with h^p = id (vertex part),
@@ -109,7 +158,7 @@ def free_period_by_enumeration(g: MultiGraph, p: int):
             continue
         if vp == identity_v and g.edge_count == 0:
             continue
-        ep = _free_edge_perm(g, vp, p)
+        ep = free_edge_perm_by_class_orbits(g, vp, p)
         if ep is not None:
             return Automorphism(vp, ep)
     return None

@@ -109,6 +109,15 @@ def test_fold_requires_mod(capsys):
     assert code == 2 and "--fold requires --mod" in err
 
 
+def test_compute_rejects_oracle_limit(capsys):
+    # compute runs no automorphism search, so the flag is not one of its options
+    code, out, err = run(
+        capsys, "compute", "tutte", "--graph", "cycle:3", "--oracle-limit", "3"
+    )
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --oracle-limit 3" in err
+
+
 def test_check_frucht_cor12_fails_with_exit_1(capsys):
     code, out, _ = run(capsys, "check", "cor1.2", "--graph", "frucht", "--p", "3")
     assert code == 1

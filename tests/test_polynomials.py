@@ -18,6 +18,8 @@ from graphperiod.polynomials import (
     parse_polynomial,
     power_mod,
     reduce_mod_p,
+    render_monomial,
+    render_terms,
     substitute,
 )
 from conftest import power_by_multiplication
@@ -294,6 +296,21 @@ def test_parse_render_roundtrip():
     for text in ("0", "1", "-3", "x^2 - x", "2*x*y + y^7 - 4"):
         poly = P(text)
         assert parse_polynomial(str(poly), XY) == poly
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.permutations(("x", "y", "λ")).map(lambda names: names[:n]),
+            st.tuples(*[st.integers(0, 12)] * n),
+        )
+    )
+)
+def test_render_monomial_is_the_unit_term(case):
+    variables, exps = case
+    text = render_monomial(variables, exps)
+    assert text == render_terms(variables, {exps: 1})
+    assert parse_polynomial(text, variables) == Polynomial.monomial(variables, exps)
 
 
 def test_parse_rejects_garbage():

@@ -24,7 +24,11 @@ from graphperiod.symmetry import (
     quotient_graph,
     validate_automorphism,
 )
-from conftest import cycle_rotation, free_period_by_enumeration
+from conftest import (
+    cycle_rotation,
+    free_edge_perm_by_class_orbits,
+    free_period_by_enumeration,
+)
 
 PRIMES = (2, 3, 5, 7)
 
@@ -173,6 +177,27 @@ def test_search_matches_enumeration_on_random_multigraphs(p):
     assert any(len(set(g.endpoints)) < g.edge_count for g in graphs)
     for g in graphs:
         _assert_same_witness(g, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_free_edge_perm_matches_class_orbit_walk(small_connected_family, p):
+    rng = random.Random(20140101)
+    graphs = [v for g in small_connected_family for v in loop_parallel_variants(g)]
+    graphs += [random_multigraph(rng, max_vertices=7, max_edges=12) for _ in range(300)]
+    compared = found = 0
+    for g in graphs:
+        identity = tuple(range(g.vertex_count))
+        for h in enumerate_automorphisms(g):
+            vp = power = h.vertex_perm
+            for _ in range(p - 1):
+                power = tuple(vp[v] for v in power)
+            if power != identity:
+                continue
+            ep = symmetry._free_edge_perm(g, vp, p)
+            assert ep == free_edge_perm_by_class_orbits(g, vp, p), (g, vp, p)
+            compared += 1
+            found += ep is not None and g.edge_count > 0
+    assert found and compared > found
 
 
 @pytest.mark.parametrize("p", PRIMES)
