@@ -69,12 +69,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
+    def add_common(p, handler):
         p.add_argument("--graph", required=True, help="named spec or file path")
         p.add_argument("--json", action="store_true", help="JSON output")
+        p.set_defaults(handler=handler)
 
-    def add_searching(p):
-        add_common(p)
+    def add_searching(p, handler):
+        add_common(p, handler)
         p.add_argument(
             "--oracle-limit",
             type=int,
@@ -84,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compute = sub.add_parser("compute", help="print a graph polynomial")
     p_compute.add_argument("invariant", choices=("tutte", "negami", "chromatic"))
-    add_common(p_compute)
+    add_common(p_compute, _compute)
     p_compute.add_argument("--mod", type=int, default=None, help="reduce mod a prime")
     p_compute.add_argument(
         "--fold",
@@ -100,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run one criterion")
     p_check.add_argument("criterion", choices=crit.CRITERION_IDS)
-    add_searching(p_check)
+    add_searching(p_check, _check)
     p_check.add_argument("--p", type=int, required=True)
     p_check.add_argument(
         "--assert-self-dual",
@@ -109,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_exclude = sub.add_parser("exclude", help="batch criteria over primes")
-    add_searching(p_exclude)
+    add_searching(p_exclude, _exclude)
     p_exclude.add_argument(
         "--primes", required=True, help="comma-separated primes, e.g. 2,3,5"
     )
@@ -122,13 +123,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="symmetry oracle access")
     oracle_sub = p_oracle.add_subparsers(dest="oracle_action", required=True)
     p_period = oracle_sub.add_parser("find-period", help="search a free period")
-    add_searching(p_period)
+    add_searching(p_period, _find_period)
     p_period.add_argument("--p", type=int, required=True)
     p_autos = oracle_sub.add_parser("automorphisms", help="enumerate automorphisms")
-    add_searching(p_autos)
+    add_searching(p_autos, _automorphisms)
 
     p_quotient = sub.add_parser("quotient", help="orbits and quotient graph")
-    add_searching(p_quotient)
+    add_searching(p_quotient, _quotient)
     p_quotient.add_argument("--p", type=int, required=True)
 
     return parser
@@ -141,7 +142,7 @@ def request_from_args(args: argparse.Namespace) -> argparse.Namespace:
         _check_prime(args.p)
     if getattr(args, "mod", None) is not None:
         _check_prime(args.mod)
-    if getattr(args, "primes", None):
+    if getattr(args, "primes", None) is not None:
         args.primes = tuple(
             _check_prime(int(chunk)) for chunk in args.primes.split(",") if chunk
         )
@@ -152,7 +153,12 @@ def request_from_args(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _compute_polynomial(args: argparse.Namespace, g: MultiGraph):
+# Each handler returns (exit code, JSON payload, a function rendering the
+# text output); the text is rendered only when it is printed.  A payload of
+# None means the handler has already reported on stderr.
+
+
+def _compute(args, g, label):
     kind = args.invariant
     if kind == "tutte":
         pair = inv.tutte_deletion_contraction(g)
@@ -167,152 +173,129 @@ def _compute_polynomial(args: argparse.Namespace, g: MultiGraph):
             # fold the variables the congruences quotient by: only u for the
             # three-variable Negami polynomial, every variable otherwise
             poly = poly.fold(("u",) if kind == "negami" else poly.variables)
-    return poly
+    payload = {
+        "graph": label,
+        "invariant": kind,
+        "variables": list(poly.variables),
+        "modulus": args.mod,
+        "folded": args.fold,
+        "polynomial": str(poly),
+    }
+    return EXIT_PASS, payload, lambda: payload["polynomial"]
+
+
+def _check(args, g, label):
+    cid, p = args.criterion, args.p
+    if cid == "thm1.1":
+        report = crit.check_negami_shape(g, p, graph_label=label)
+    elif cid == "cor1.2":
+        report = crit.check_tutte_coefficients(g, p, graph_label=label)
+    elif cid == "cor1.3":
+        if not args.assert_self_dual:
+            raise ValueError("cor1.3 requires --assert-self-dual")
+        report = crit.check_selfdual_vertex_count(
+            g, p, args.assert_self_dual, graph_label=label
+        )
+    else:
+        witness = find_free_period(g, p, limit=args.oracle_limit)
+        if witness is None:
+            raise ValueError(
+                f"{cid} needs a free period of order {p} as witness and the "
+                "oracle found none"
+            )
+        check = {
+            "thm3.1": crit.check_negami_quotient_congruence,
+            "cor3.2": crit.check_tutte_quotient_congruence,
+            "chromatic-remark": crit.check_chromatic_vanishing,
+        }[cid]
+        report = check(g, witness, p, graph_label=label)
+    code = EXIT_PASS if report.passed else EXIT_FAIL
+    return code, report.to_dict(), lambda: crit.render_report(report)
+
+
+def _exclude(args, g, label):
+    reports = crit.exclusion_report(
+        g, args.primes, graph_label=label, use_oracle=args.oracle,
+        oracle_limit=args.oracle_limit,
+    )
+    excluded = crit.excluded_primes(reports)
+    payload = {
+        "graph": label,
+        "excluded": excluded,
+        "reports": [r.to_dict() for r in reports],
+    }
+
+    def render():
+        lines = []
+        for p in sorted(set(args.primes)):
+            verdict = "excluded" if p in excluded else "not excluded"
+            failing = sorted(
+                r.criterion for r in reports if r.p == p and r.verdict == "fail"
+            )
+            detail = f" ({', '.join(failing)} fail)" if failing else ""
+            lines.append(f"p={p}: {verdict}{detail}")
+        for report in reports:
+            lines += ["", crit.render_report(report)]
+        return "\n".join(lines)
+
+    return (EXIT_FAIL if excluded else EXIT_PASS), payload, render
+
+
+def _find_period(args, g, label):
+    witness = find_free_period(g, args.p, limit=args.oracle_limit)
+    payload = {
+        "graph": label,
+        "p": args.p,
+        "found": witness is not None,
+        "automorphism": witness.to_dict() if witness else None,
+    }
+
+    def render():
+        if witness is None:
+            return f"no free period of order {args.p}"
+        return json.dumps(payload["automorphism"])
+
+    return (EXIT_PASS if witness is not None else EXIT_FAIL), payload, render
+
+
+def _automorphisms(args, g, label):
+    autos = [a.to_dict() for a in enumerate_automorphisms(g, limit=args.oracle_limit)]
+    payload = {"graph": label, "count": len(autos), "automorphisms": autos}
+    return EXIT_PASS, payload, lambda: "\n".join(
+        [f"count: {len(autos)}"] + [json.dumps(a) for a in autos]
+    )
+
+
+def _quotient(args, g, label):
+    witness = find_free_period(g, args.p, limit=args.oracle_limit)
+    if witness is None:
+        print(f"no free period of order {args.p}; no quotient exists", file=sys.stderr)
+        return EXIT_FAIL, None, None
+    qmap = quotient_graph(g, witness)
+    vertex_orbits, edge_orbits = orbits(g, witness)
+    payload = {
+        "graph": label,
+        "p": args.p,
+        "automorphism": witness.to_dict(),
+        "vertex_orbits": [list(o) for o in vertex_orbits],
+        "edge_orbits": [list(o) for o in edge_orbits],
+        "quotient": render_edge_list(qmap.quotient),
+    }
+    return EXIT_PASS, payload, lambda: "\n".join([
+        f"automorphism: {json.dumps(payload['automorphism'])}",
+        f"vertex orbits: {payload['vertex_orbits']}",
+        f"edge orbits: {payload['edge_orbits']}",
+        "quotient:",
+        payload["quotient"].rstrip("\n"),
+    ])
 
 
 def run(args: argparse.Namespace) -> int:
     g, label = load_graph(args.graph)
-
-    if args.subcommand == "compute":
-        poly = _compute_polynomial(args, g)
-        if args.json:
-            payload = {
-                "graph": label,
-                "invariant": args.invariant,
-                "variables": list(poly.variables),
-                "modulus": args.mod,
-                "folded": args.fold,
-                "polynomial": str(poly),
-            }
-            print(json.dumps(payload, ensure_ascii=False))
-        else:
-            print(poly)
-        return EXIT_PASS
-
-    if args.subcommand == "check":
-        report = _run_check(args, g, label)
-        if args.json:
-            print(report.to_json())
-        else:
-            print(crit.render_report(report))
-        return EXIT_PASS if report.passed else EXIT_FAIL
-
-    if args.subcommand == "exclude":
-        reports = crit.exclusion_report(
-            g,
-            args.primes,
-            graph_label=label,
-            use_oracle=args.oracle,
-            oracle_limit=args.oracle_limit,
-        )
-        excluded = crit.excluded_primes(reports)
-        if args.json:
-            payload = {
-                "graph": label,
-                "excluded": excluded,
-                "reports": [r.to_dict() for r in reports],
-            }
-            print(json.dumps(payload, ensure_ascii=False))
-        else:
-            for p in sorted(set(args.primes)):
-                verdict = "excluded" if p in excluded else "not excluded"
-                failing = sorted(
-                    r.criterion
-                    for r in reports
-                    if r.p == p and r.verdict == "fail"
-                )
-                detail = f" ({', '.join(failing)} fail)" if failing else ""
-                print(f"p={p}: {verdict}{detail}")
-            for report in reports:
-                print()
-                print(crit.render_report(report))
-        return EXIT_FAIL if excluded else EXIT_PASS
-
-    if args.subcommand == "oracle":
-        if args.oracle_action == "find-period":
-            witness = find_free_period(g, args.p, limit=args.oracle_limit)
-            if args.json:
-                payload = {
-                    "graph": label,
-                    "p": args.p,
-                    "found": witness is not None,
-                    "automorphism": witness.to_dict() if witness else None,
-                }
-                print(json.dumps(payload, ensure_ascii=False))
-            elif witness is None:
-                print(f"no free period of order {args.p}")
-            else:
-                print(json.dumps(witness.to_dict()))
-            return EXIT_PASS if witness is not None else EXIT_FAIL
-        autos = enumerate_automorphisms(g, limit=args.oracle_limit)
-        if args.json:
-            payload = {
-                "graph": label,
-                "count": len(autos),
-                "automorphisms": [a.to_dict() for a in autos],
-            }
-            print(json.dumps(payload, ensure_ascii=False))
-        else:
-            print(f"count: {len(autos)}")
-            for a in autos:
-                print(json.dumps(a.to_dict()))
-        return EXIT_PASS
-
-    if args.subcommand == "quotient":
-        witness = find_free_period(g, args.p, limit=args.oracle_limit)
-        if witness is None:
-            print(
-                f"no free period of order {args.p}; no quotient exists",
-                file=sys.stderr,
-            )
-            return EXIT_FAIL
-        qmap = quotient_graph(g, witness)
-        vertex_orbits, edge_orbits = orbits(g, witness)
-        if args.json:
-            payload = {
-                "graph": label,
-                "p": args.p,
-                "automorphism": witness.to_dict(),
-                "vertex_orbits": [list(o) for o in vertex_orbits],
-                "edge_orbits": [list(o) for o in edge_orbits],
-                "quotient": render_edge_list(qmap.quotient),
-            }
-            print(json.dumps(payload, ensure_ascii=False))
-        else:
-            print(f"automorphism: {json.dumps(witness.to_dict())}")
-            print(f"vertex orbits: {[list(o) for o in vertex_orbits]}")
-            print(f"edge orbits: {[list(o) for o in edge_orbits]}")
-            print("quotient:")
-            print(render_edge_list(qmap.quotient), end="")
-        return EXIT_PASS
-
-    raise ValueError(f"unknown subcommand {args.subcommand!r}")
-
-
-def _run_check(args: argparse.Namespace, g: MultiGraph, label: str):
-    cid = args.criterion
-    p = args.p
-    if cid == "thm1.1":
-        return crit.check_negami_shape(g, p, graph_label=label)
-    if cid == "cor1.2":
-        return crit.check_tutte_coefficients(g, p, graph_label=label)
-    if cid == "cor1.3":
-        if not args.assert_self_dual:
-            raise ValueError("cor1.3 requires --assert-self-dual")
-        return crit.check_selfdual_vertex_count(
-            g, p, args.assert_self_dual, graph_label=label
-        )
-    witness = find_free_period(g, p, limit=args.oracle_limit)
-    if witness is None:
-        raise ValueError(
-            f"{cid} needs a free period of order {p} as witness and the "
-            "oracle found none"
-        )
-    if cid == "thm3.1":
-        return crit.check_negami_quotient_congruence(g, witness, p, graph_label=label)
-    if cid == "cor3.2":
-        return crit.check_tutte_quotient_congruence(g, witness, p, graph_label=label)
-    return crit.check_chromatic_vanishing(g, witness, p, graph_label=label)
+    code, payload, render = args.handler(args, g, label)
+    if payload is not None:
+        print(json.dumps(payload, ensure_ascii=False) if args.json else render())
+    return code
 
 
 def main(argv=None) -> int:

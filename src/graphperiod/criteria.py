@@ -32,7 +32,6 @@ Checks against a quotient witness h (oracle-assisted):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 from .graphs import MultiGraph, component_count, is_connected
@@ -134,9 +133,6 @@ class CriterionReport:
             ],
             "notes": list(self.notes),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False)
 
 
 def render_report(report: CriterionReport) -> str:
@@ -344,8 +340,8 @@ def exclusion_report(
     fails.  Both read one Tutte run: thm1.1's N is T with relabelled
     exponents.  With ``use_oracle`` the free-period search cross-checks
     that no excluded prime actually has a free period (a contradiction
-    raises SoundnessError); a graph above ``oracle_limit`` is not searched,
-    a search past the node budget is given up, and the reports say so."""
+    raises SoundnessError); when the search gives up, above ``oracle_limit``
+    vertices or past the node budget, the reports say so."""
     _require_connected(g, "exclusion report")
     label = graph_label or _default_label(g)
     tutte = tutte_deletion_contraction(g).shifted
@@ -358,26 +354,20 @@ def exclusion_report(
         ]
         excluded = any(r.verdict == "fail" for r in per_prime)
         if use_oracle:
-            if g.vertex_count > oracle_limit:
-                oracle_note = (
-                    f"oracle: skipped, {g.vertex_count} vertices exceed the "
-                    f"limit of {oracle_limit}"
-                )
+            try:
+                witness = find_free_period(g, p, limit=oracle_limit)
+            except OracleLimitError as exc:
+                oracle_note = f"oracle: skipped, {exc}"
             else:
-                try:
-                    witness = find_free_period(g, p, limit=oracle_limit)
-                except OracleLimitError as exc:
-                    oracle_note = f"oracle: skipped, {exc}"
-                else:
-                    if witness is not None and excluded:
-                        raise SoundnessError(
-                            f"free period of order {p} found although the "
-                            f"criteria exclude it: {witness.to_dict()}"
-                        )
-                    oracle_note = (
-                        f"oracle: free period of order {p} "
-                        + ("found" if witness is not None else "not found")
+                if witness is not None and excluded:
+                    raise SoundnessError(
+                        f"free period of order {p} found although the "
+                        f"criteria exclude it: {witness.to_dict()}"
                     )
+                oracle_note = (
+                    f"oracle: free period of order {p} "
+                    + ("found" if witness is not None else "not found")
+                )
             per_prime = [replace(r, notes=r.notes + (oracle_note,)) for r in per_prime]
         reports.extend(per_prime)
     reports.sort(key=lambda r: (r.graph, r.p, r.criterion))

@@ -502,10 +502,9 @@ def _component_encoding(g: MultiGraph):
         return (n, loops_vec, tuple(rows))
 
     def swappable(u, v):
-        # transposing u and v is an automorphism: identical loops and
-        # identical multiplicity rows away from each other
-        if loops[u] != loops[v]:
-            return False
+        # transposing u and v is an automorphism: identical multiplicity
+        # rows away from each other (u and v share a refined cell, and the
+        # refinement separates loop counts)
         row_u = {x: m for x, m in adj[u].items() if x != v}
         row_v = {x: m for x, m in adj[v].items() if x != u}
         return row_u == row_v

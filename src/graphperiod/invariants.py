@@ -191,7 +191,8 @@ def _tau_block(g: MultiGraph, memo, chooser, y_zero: bool) -> Polynomial:
         joined = _tau(contract_edges(g, path), memo, chooser, y_zero)
         return _x_series(len(path)) * rest + joined
 
-    key = canonical_key(g)
+    # one memo may serve both lines: tau(x, 0) and tau(x, y) differ
+    key = (y_zero, canonical_key(g))
     cached = memo.get(key)
     if cached is not None:
         return cached
@@ -379,8 +380,7 @@ def tutte_from_negami(n: NegamiPolynomial) -> Polynomial:
 def chromatic_deletion_contraction(g: MultiGraph, *, cache=None) -> Polynomial:
     """Proper-coloring counting polynomial (-1)^(r-w) λ^w tau(1-λ, 0), with
     tau(x, 0) from the Tutte recursion run on the line y = 0; any loop forces
-    the zero polynomial.  ``cache`` overrides the shared session memo; its
-    entries hold tau(x, 0), so it must not be shared with the Tutte route."""
+    the zero polynomial.  ``cache`` overrides the shared session memo."""
     memo = _chromatic_cache if cache is None else cache
     on_line = _tau(g, memo, _default_chooser, True)
     value = binomial_substitute(

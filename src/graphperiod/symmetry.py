@@ -6,8 +6,8 @@ refined colour classes as candidate sets (after McKay & Piperno, "Practical
 graph isomorphism, II", J. Symbolic Comput. 60, 2014).  The enumeration
 lists and sorts Aut(G); the free-period search places vertices 0, 1, ... in
 order, prunes every branch that cannot extend to a free action of order p,
-and stops at the first witness.  Each search gives up with OracleLimitError
-after SEARCH_NODE_BUDGET nodes, as it does above a vertex limit.
+and stops at the first witness.  The routine gives up with OracleLimitError
+above a vertex limit and after SEARCH_NODE_BUDGET nodes.
 
 An automorphism of a multigraph is a compatible pair of permutations (one of
 vertices, one of edges).  On simple graphs the edge permutation is forced by
@@ -104,18 +104,13 @@ def validate_automorphism(g: MultiGraph, h: Automorphism):
             )
 
 
-def _parallel_classes(g: MultiGraph):
-    classes: dict = {}
-    for e, pair in enumerate(g.endpoints):
-        classes.setdefault(pair, []).append(e)
-    return classes
-
-
 def _edge_index(g: MultiGraph):
     """(edges, classes) for inducing edge permutations: each edge as (u, v,
     its rank in its parallel class), and both orientations of every joined
     pair mapped to the class's ascending edge ids."""
-    classes = _parallel_classes(g)
+    classes: dict = {}
+    for e, pair in enumerate(g.endpoints):
+        classes.setdefault(pair, []).append(e)
     edges = [None] * g.edge_count
     for (u, v), members in list(classes.items()):
         classes[v, u] = members
@@ -146,11 +141,12 @@ def automorphism_from_vertex_perm(g: MultiGraph, vertex_perm) -> Automorphism:
     return h
 
 
-def _vertex_automorphisms(g: MultiGraph, *, period=None):
+def _vertex_automorphisms(g: MultiGraph, limit, *, period=None):
     """Vertex permutations preserving loop counts and adjacency
-    multiplicities, by backtracking: each vertex in turn takes an image of
-    its refined colour and loop count that keeps the multiplicities to every
-    vertex placed before it.
+    multiplicities, by backtracking: each vertex in turn takes an image in
+    its refined colour cell that keeps the multiplicities to every vertex
+    placed before it.  The refinement separates loop counts, so the cell is
+    the whole candidate set.
 
     Without ``period`` every automorphism is yielded, placing the vertices
     in a BFS order, which meets adjacency constraints sooner.  With a prime
@@ -159,21 +155,27 @@ def _vertex_automorphisms(g: MultiGraph, *, period=None):
     order, and every branch that cannot extend to a free action of order p
     is cut (see ``_period_step``).
 
-    Raises OracleLimitError once the search visits more than
-    SEARCH_NODE_BUDGET nodes.
+    Raises OracleLimitError above ``limit`` vertices, and once the search
+    visits more than SEARCH_NODE_BUDGET nodes.
     """
     n = g.vertex_count
+    if n > limit:
+        raise OracleLimitError(f"{n} vertices exceed the limit of {limit}")
     if n == 0:
         yield ()
         return
     loops, adj = _adjacency(g)
     colors = _refine(n, adj, loops, [0] * n)
+    cells: dict = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
+    candidates = [cells[c] for c in colors]
 
     image = [-1] * n
     preimage = [-1] * n
     if period is not None:
         order = list(range(n))
-        step = _period_step(period, loops, adj, colors, image, preimage)
+        step = _period_step(period, loops, adj, candidates, image, preimage)
     else:
         step = None
         order = []
@@ -191,10 +193,6 @@ def _vertex_automorphisms(g: MultiGraph, *, period=None):
                         seen[u] = True
                         queue.append(u)
 
-    candidates = [
-        [w for w in range(n) if colors[w] == colors[v] and loops[w] == loops[v]]
-        for v in range(n)
-    ]
     budget = SEARCH_NODE_BUDGET
     nodes = 0
 
@@ -229,22 +227,12 @@ def _vertex_automorphisms(g: MultiGraph, *, period=None):
     yield from extend(0)
 
 
-def _check_vertex_limit(g: MultiGraph, limit):
-    if g.vertex_count > limit:
-        raise OracleLimitError(
-            f"{g.vertex_count} vertices exceeds the oracle limit of {limit}"
-        )
-
-
 def enumerate_automorphisms(g: MultiGraph, *, limit=DEFAULT_VERTEX_LIMIT):
     """Complete automorphism list, each vertex permutation paired with the
     canonical edge permutation, sorted by vertex permutation."""
-    _check_vertex_limit(g, limit)
+    vertex_perms = sorted(_vertex_automorphisms(g, limit))
     index = _edge_index(g)
-    return [
-        Automorphism(vp, _induced_edge_perm(index, vp))
-        for vp in sorted(_vertex_automorphisms(g))
-    ]
+    return [Automorphism(vp, _induced_edge_perm(index, vp)) for vp in vertex_perms]
 
 
 def _free_edge_perm(g: MultiGraph, vp, p):
@@ -271,9 +259,10 @@ def _free_edge_perm(g: MultiGraph, vp, p):
     return tuple(ep)
 
 
-def _period_step(p, loops, adj, colors, image, preimage):
+def _period_step(p, loops, adj, cell_of, image, preimage):
     """The pruning step ``step(v, w)`` of the free-period search at prime p,
-    over the search's own adjacency, colours and partial map; it is called
+    over the search's own adjacency, colour cells (``cell_of[v]`` is the
+    cell of v) and partial map; it is called
     after v is mapped to w and returns False to cut the branch.  A branch
     dies as soon as it cannot extend to an h with h^p = id whose fixed edge
     classes all have multiplicity divisible by p:
@@ -289,10 +278,6 @@ def _period_step(p, loops, adj, colors, image, preimage):
       fixed vertices is divisible by p) outnumber the unplaced vertices
       that could still be fixed.
     """
-    cells = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-
     def fixable(x):
         # x may be fixed beside the vertices fixed so far
         return loops[x] % p == 0 and all(
@@ -321,7 +306,7 @@ def _period_step(p, loops, adj, colors, image, preimage):
             if length > p:
                 return False
 
-        cell = cells[colors[v]]
+        cell = cell_of[v]
         fixed = unplaced = 0
         for x in cell:
             if image[x] == x:
@@ -359,9 +344,8 @@ def find_free_period(g: MultiGraph, p: int, *, limit=DEFAULT_VERTEX_LIMIT):
     """
     if not is_prime(p):
         raise ValueError(f"period must be prime, got {p}")
-    _check_vertex_limit(g, limit)
     identity_v = tuple(range(g.vertex_count))
-    for vp in _vertex_automorphisms(g, period=p):
+    for vp in _vertex_automorphisms(g, limit, period=p):
         if vp == identity_v and g.edge_count == 0:
             continue  # the identity pair has order 1, not p
         ep = _free_edge_perm(g, vp, p)
@@ -370,17 +354,16 @@ def find_free_period(g: MultiGraph, p: int, *, limit=DEFAULT_VERTEX_LIMIT):
     return None
 
 
+def _orbit_partition(perm):
+    # _cycles starts each cycle at its smallest vertex, in ascending order
+    return tuple(tuple(sorted(c)) for c in _cycles(perm))
+
+
 def orbits(g: MultiGraph, h: Automorphism):
     """Vertex and edge orbit partitions under the cyclic group generated by
     h, each orbit ascending, orbits ordered by smallest member."""
     validate_automorphism(g, h)
-    vertex_orbits = tuple(
-        tuple(sorted(c)) for c in sorted(_cycles(h.vertex_perm), key=min)
-    )
-    edge_orbits = tuple(
-        tuple(sorted(c)) for c in sorted(_cycles(h.edge_perm), key=min)
-    )
-    return vertex_orbits, edge_orbits
+    return _orbit_partition(h.vertex_perm), _orbit_partition(h.edge_perm)
 
 
 @dataclass(frozen=True)
@@ -412,10 +395,11 @@ def validate_free_period(g: MultiGraph, h: Automorphism, p: int):
 def quotient_graph(g: MultiGraph, h: Automorphism) -> QuotientMap:
     """Quotient by a free prime-order action: one vertex per vertex orbit,
     one edge per edge orbit, endpoints projected; loops appear when an
-    edge orbit joins a single vertex orbit.  Asserts q = p * q_bar."""
-    p = h.order()
-    validate_free_period(g, h, p)
-    vertex_orbits, edge_orbits = orbits(g, h)
+    edge orbit joins a single vertex orbit.  Every edge orbit has p edges,
+    since p is prime and no edge is fixed, so q = p * q_bar."""
+    validate_free_period(g, h, h.order())
+    vertex_orbits = _orbit_partition(h.vertex_perm)
+    edge_orbits = _orbit_partition(h.edge_perm)
     v_class = [0] * g.vertex_count
     for i, orbit in enumerate(vertex_orbits):
         for v in orbit:
@@ -423,20 +407,14 @@ def quotient_graph(g: MultiGraph, h: Automorphism) -> QuotientMap:
     e_class = [0] * g.edge_count
     quotient_edges = []
     for i, orbit in enumerate(edge_orbits):
-        if g.edge_count and len(orbit) != p:
-            raise NotAFreePeriodError(
-                f"edge orbit {orbit} has size {len(orbit)}, expected {p}"
-            )
         for e in orbit:
             e_class[e] = i
         u, v = g.endpoints[orbit[0]]
         quotient_edges.append((v_class[u], v_class[v]))
-    quotient = MultiGraph(len(vertex_orbits), tuple(quotient_edges))
-    assert g.edge_count == p * quotient.edge_count
     return QuotientMap(
         vertex_orbits=vertex_orbits,
         edge_orbits=edge_orbits,
-        quotient=quotient,
+        quotient=MultiGraph(len(vertex_orbits), tuple(quotient_edges)),
         vertex_projection=tuple(v_class),
         edge_projection=tuple(e_class),
     )

@@ -190,6 +190,28 @@ def test_exclude_json_reports_validate(capsys):
         jsonschema.validate(report, REPORT_SCHEMA)
 
 
+@pytest.mark.parametrize("primes", ["", ",,"])
+def test_exclude_without_primes_exits_2(capsys, primes):
+    # an empty list must not read as "not excluded"
+    code, out, err = run(capsys, "exclude", "--graph", "cycle:5", "--primes", primes)
+    assert code == 2 and out == ""
+    assert err == "error: --primes must list at least one prime\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "find-period", "--graph", "complete:40", "--p", "3"),
+        ("oracle", "automorphisms", "--graph", "complete:40"),
+        ("quotient", "--graph", "complete:40", "--p", "3"),
+    ],
+)
+def test_vertex_limit_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: 40 vertices exceed the limit of 32\n"
+
+
 def test_oracle_find_period(capsys):
     code, out, _ = run(
         capsys, "oracle", "find-period", "--graph", "petersen", "--p", "5", "--json"

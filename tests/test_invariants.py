@@ -179,6 +179,30 @@ def lam(text):
     return parse_polynomial(text, CHROMATIC_VARS)
 
 
+@pytest.mark.parametrize("tutte_first", [True, False], ids=["tutte-first", "chromatic-first"])
+@pytest.mark.parametrize(
+    "g",
+    [
+        named_graph("petersen"),
+        MultiGraph(4, ((0, 1), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 3))),
+    ],
+    ids=["petersen", "k4-loop-parallel"],
+)
+def test_one_cache_serves_both_recursions(g, tutte_first):
+    expected = (
+        tutte_deletion_contraction(g, cache={}).classic,
+        chromatic_deletion_contraction(g, cache={}),
+    )
+    shared = {}
+    if tutte_first:
+        tutte = tutte_deletion_contraction(g, cache=shared).classic
+        chromatic = chromatic_deletion_contraction(g, cache=shared)
+    else:
+        chromatic = chromatic_deletion_contraction(g, cache=shared)
+        tutte = tutte_deletion_contraction(g, cache=shared).classic
+    assert (tutte, chromatic) == expected
+
+
 def test_chromatic_edgeless():
     assert chromatic_deletion_contraction(MultiGraph(3)) == lam("λ^3")
 
