@@ -81,6 +81,16 @@ class MultiGraph:
         return f"MultiGraph({self.vertex_count}, {list(self.endpoints)!r})"
 
 
+def _trusted(vertex_count: int, endpoints: tuple) -> MultiGraph:
+    """A MultiGraph built without re-validation, for the structural
+    operations below: their endpoints are in range and ordered u <= v by
+    construction."""
+    g = object.__new__(MultiGraph)
+    object.__setattr__(g, "vertex_count", vertex_count)
+    object.__setattr__(g, "endpoints", endpoints)
+    return g
+
+
 # -- text format --------------------------------------------------------
 
 
@@ -214,9 +224,7 @@ def _check_edge(g: MultiGraph, e: int):
 
 def delete_edge(g: MultiGraph, e: int) -> MultiGraph:
     _check_edge(g, e)
-    return MultiGraph(
-        g.vertex_count, g.endpoints[:e] + g.endpoints[e + 1 :]
-    )
+    return _trusted(g.vertex_count, g.endpoints[:e] + g.endpoints[e + 1 :])
 
 
 def delete_edges(g: MultiGraph, edge_ids) -> MultiGraph:
@@ -224,7 +232,7 @@ def delete_edges(g: MultiGraph, edge_ids) -> MultiGraph:
     for e in drop:
         _check_edge(g, e)
     kept = tuple(pair for i, pair in enumerate(g.endpoints) if i not in drop)
-    return MultiGraph(g.vertex_count, kept)
+    return _trusted(g.vertex_count, kept)
 
 
 def contract_edge(g: MultiGraph, e: int) -> MultiGraph:
@@ -255,12 +263,13 @@ def contract_edges(g: MultiGraph, edge_ids) -> MultiGraph:
     roots = sorted(set(labels))
     new_id = {root: i for i, root in enumerate(roots)}
     drop = set(selected)
-    kept = tuple(
-        (new_id[labels[u]], new_id[labels[v]])
-        for i, (u, v) in enumerate(g.endpoints)
-        if i not in drop
-    )
-    return MultiGraph(len(roots), kept)
+    kept = []
+    for i, (u, v) in enumerate(g.endpoints):
+        if i not in drop:
+            # relabelling can reverse a pair: u's class may have the larger label
+            a, b = new_id[labels[u]], new_id[labels[v]]
+            kept.append((a, b) if a <= b else (b, a))
+    return _trusted(len(roots), tuple(kept))
 
 
 def _component_labels(g: MultiGraph, edge_ids=None):
@@ -319,7 +328,7 @@ def component_subgraphs(g: MultiGraph):
         edges = tuple(
             (vmap[u], vmap[v]) for u, v in g.endpoints if labels[u] == root
         )
-        pieces.append(MultiGraph(len(vmap), edges))
+        pieces.append(_trusted(len(vmap), edges))
     return pieces
 
 
@@ -353,8 +362,22 @@ def blocks(g: MultiGraph):
         stack = [(root, -1, iter(adj[root]))]
         while stack:
             v, in_edge, it = stack[-1]
-            step = next(it, None)
-            if step is None:
+            # resume v's neighbours; a tree edge breaks out to descend
+            for w, eid in it:
+                if eid == in_edge:
+                    continue
+                if disc[w] == -1:
+                    edge_stack.append(eid)
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, eid, iter(adj[w])))
+                    break
+                if disc[w] < disc[v]:
+                    # back edge to an ancestor, pushed once from the lower end
+                    edge_stack.append(eid)
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+            else:
                 stack.pop()
                 if stack:
                     pv = stack[-1][0]
@@ -370,20 +393,6 @@ def blocks(g: MultiGraph):
                                 break
                         block.sort()
                         out.append(block)
-                continue
-            w, eid = step
-            if eid == in_edge:
-                continue
-            if disc[w] == -1:
-                edge_stack.append(eid)
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((w, eid, iter(adj[w])))
-            elif disc[w] < disc[v]:
-                # back edge to an ancestor, pushed once from the lower end
-                edge_stack.append(eid)
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
     out.sort()
     return out
 
@@ -402,7 +411,7 @@ def edge_subgraph(g: MultiGraph, edge_ids) -> MultiGraph:
     pairs = [g.endpoints[e] for e in edge_ids]
     touched = sorted({v for pair in pairs for v in pair})
     new_id = {v: i for i, v in enumerate(touched)}
-    return MultiGraph(len(touched), tuple((new_id[u], new_id[v]) for u, v in pairs))
+    return _trusted(len(touched), tuple((new_id[u], new_id[v]) for u, v in pairs))
 
 
 def classify_edge(g: MultiGraph, e: int) -> EdgeClass:
@@ -440,6 +449,15 @@ def relabel(g: MultiGraph, vertex_perm, edge_perm=None) -> MultiGraph:
 # orderings consistent with iterated neighborhood refinement, computed per
 # connected component (component encodings commute with isomorphism, so the
 # sorted list of them is canonical for the whole graph).
+#
+# The search individualises one vertex of the first non-singleton cell at a
+# time.  Two leaves with equal encodings give an automorphism (the map from
+# one leaf order to the other); it fixes the two paths' common prefix, so
+# the search jumps back to where they diverge, and a node skips every child
+# in the orbit of an explored sibling under the recorded automorphisms (and
+# twin transpositions) that fix its prefix (after McKay & Piperno,
+# "Practical graph isomorphism, II", 2014).  Skipped subtrees are images of
+# explored ones, so the minimum, and the key, is that of the full search.
 
 
 def _refine(n, adj, loops, colors):
@@ -450,12 +468,19 @@ def _refine(n, adj, loops, colors):
     """
     ncolors = len(set(colors))
     while True:
+        size = {}
+        for c in colors:
+            size[c] = size.get(c, 0) + 1
         sigs = []
         for v in range(n):
-            row = sorted(
-                (colors[u], mult) for u, mult in adj[v].items()
-            )
-            sigs.append((colors[v], loops[v], tuple(row)))
+            c = colors[v]
+            if size[c] == 1:
+                # a singleton's own colour fixes its rank: the rest of its
+                # signature never meets another with the same colour
+                sigs.append((c,))
+                continue
+            row = sorted([(colors[u], mult) for u, mult in adj[v].items()])
+            sigs.append((c, loops[v], tuple(row)))
         ranking = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         new_colors = [ranking[sig] for sig in sigs]
         new_count = len(ranking)
@@ -483,10 +508,11 @@ def _adjacency(g: MultiGraph):
 def _component_encoding(g: MultiGraph):
     n = g.vertex_count
     loops, adj = _adjacency(g)
-    best = None
+    best = best_path = best_order = None
+    # vertex maps found between leaves with equal encodings: automorphisms
+    automorphisms = []
 
-    def encode(colors):
-        order = sorted(range(n), key=colors.__getitem__)
+    def encode(order):
         position = [0] * n
         for i, v in enumerate(order):
             position[v] = i
@@ -509,8 +535,11 @@ def _component_encoding(g: MultiGraph):
         row_v = {x: m for x, m in adj[v].items() if x != u}
         return row_u == row_v
 
-    def search(colors):
-        nonlocal best
+    def search(colors, path):
+        """Explore the node reached by individualising ``path``.  Returns
+        None, or the depth of the ancestor to resume at when this subtree
+        is the image of an explored one."""
+        nonlocal best, best_path, best_order
         cells = {}
         for v, c in enumerate(colors):
             cells.setdefault(c, []).append(v)
@@ -520,25 +549,69 @@ def _component_encoding(g: MultiGraph):
                 target = cells[c]
                 break
         if target is None:
-            enc = encode(colors)
+            order = sorted(range(n), key=colors.__getitem__)
+            enc = encode(order)
             if best is None or enc < best:
-                best = enc
-            return
-        # vertices related by a swap automorphism lead to identical leaf
-        # encodings, so one representative per twin class suffices
-        skip = set()
+                best, best_path, best_order = enc, path, order
+                return None
+            if enc > best:
+                return None
+            # gamma maps best_path to path, so it fixes their common prefix
+            # and carries the explored sibling subtree there onto this one
+            gamma = [0] * n
+            for a, b in zip(best_order, order):
+                gamma[a] = b
+            automorphisms.append(gamma)
+            depth = 0
+            while best_path[depth] == path[depth]:
+                depth += 1
+            return depth
+        depth = len(path)
+        # children already explored, closed under twin transpositions and
+        # under the recorded automorphisms that fix path pointwise: a child
+        # in that orbit union leads to the leaf encodings of an explored one
+        reached = set()
+        fixing = []
+        used = 0
         for i, v in enumerate(target):
-            if v in skip:
+            fixing += [
+                gamma
+                for gamma in automorphisms[used:]
+                if all(gamma[x] == x for x in path)
+            ]
+            used = len(automorphisms)
+            reached = _closure(reached, fixing)
+            if v in reached:
                 continue
+            reached.add(v)
             for w in target[i + 1 :]:
-                if w not in skip and swappable(v, w):
-                    skip.add(w)
+                if w not in reached and swappable(v, w):
+                    reached.add(w)
             split = [c * 2 + 1 for c in colors]
             split[v] -= 1
-            search(_refine(n, adj, loops, split))
+            resume = search(_refine(n, adj, loops, split), path + (v,))
+            if resume is not None and resume < depth:
+                return resume
+        return None
 
-    search(_refine(n, adj, loops, [0] * n))
+    search(_refine(n, adj, loops, [0] * n), ())
     return best
+
+
+def _closure(points, maps):
+    """The smallest superset of points that every map sends into itself."""
+    if not maps:
+        return points
+    out = set(points)
+    stack = list(out)
+    while stack:
+        x = stack.pop()
+        for gamma in maps:
+            y = gamma[x]
+            if y not in out:
+                out.add(y)
+                stack.append(y)
+    return out
 
 
 def canonical_key(g: MultiGraph) -> bytes:

@@ -9,7 +9,10 @@ import pytest
 
 from graphperiod.graphs import (
     MultiGraph,
+    _adjacency,
+    _refine,
     canonical_key,
+    component_subgraphs,
     contract_edge,
     delete_edge,
     delete_edges,
@@ -162,6 +165,153 @@ def free_period_by_enumeration(g: MultiGraph, p: int):
         if ep is not None:
             return Automorphism(vp, ep)
     return None
+
+
+def canonical_key_by_full_search(g: MultiGraph) -> bytes:
+    """Independent oracle for canonical_key: the same refinement and
+    minimum leaf encoding, but the search visits every child of every node
+    except twins (vertices whose transposition is an automorphism), with no
+    automorphisms recorded at leaves and no backjumping."""
+    return repr(
+        sorted(_full_search_encoding(c) for c in component_subgraphs(g))
+    ).encode()
+
+
+def _full_search_encoding(g: MultiGraph):
+    n = g.vertex_count
+    loops, adj = _adjacency(g)
+    best = None
+
+    def encode(colors):
+        order = sorted(range(n), key=colors.__getitem__)
+        position = [0] * n
+        for i, v in enumerate(order):
+            position[v] = i
+        loops_vec = tuple(loops[v] for v in order)
+        rows = []
+        for v in order:
+            iv = position[v]
+            for u, mult in adj[v].items():
+                iu = position[u]
+                if iv < iu:
+                    rows.append((iv, iu, mult))
+        rows.sort()
+        return (n, loops_vec, tuple(rows))
+
+    def swappable(u, v):
+        row_u = {x: m for x, m in adj[u].items() if x != v}
+        row_v = {x: m for x, m in adj[v].items() if x != u}
+        return row_u == row_v
+
+    def search(colors):
+        nonlocal best
+        cells = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        target = None
+        for c in sorted(cells):
+            if len(cells[c]) > 1:
+                target = cells[c]
+                break
+        if target is None:
+            enc = encode(colors)
+            if best is None or enc < best:
+                best = enc
+            return
+        skip = set()
+        for i, v in enumerate(target):
+            if v in skip:
+                continue
+            for w in target[i + 1 :]:
+                if w not in skip and swappable(v, w):
+                    skip.add(w)
+            split = [c * 2 + 1 for c in colors]
+            split[v] -= 1
+            search(_refine(n, adj, loops, split))
+
+    search(_refine(n, adj, loops, [0] * n))
+    return best
+
+
+# -- symmetric graphs, where colour refinement alone leaves large cells --------
+
+
+def lcf_graph(n: int, pattern) -> MultiGraph:
+    """Hamiltonian cubic graph from LCF notation."""
+    edges = {(i, (i + 1) % n) for i in range(n)}
+    for i in range(n):
+        j = (i + pattern[i % len(pattern)]) % n
+        edges.add((min(i, j), max(i, j)))
+    return MultiGraph(n, tuple(sorted(edges)))
+
+
+def dodecahedron() -> MultiGraph:
+    return lcf_graph(20, (10, 7, 4, -4, -7, 10, -4, 7, -7, 4))
+
+
+def hypercube(d: int) -> MultiGraph:
+    return MultiGraph(
+        1 << d,
+        tuple((v, v | 1 << b) for v in range(1 << d) for b in range(d) if not v >> b & 1),
+    )
+
+
+def complete_bipartite(m: int, n: int) -> MultiGraph:
+    return MultiGraph(m + n, tuple((i, m + j) for i in range(m) for j in range(n)))
+
+
+def prism(k: int) -> MultiGraph:
+    """Two k-cycles joined by a perfect matching."""
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(k + i, k + (i + 1) % k) for i in range(k)]
+    edges += [(i, k + i) for i in range(k)]
+    return MultiGraph(2 * k, tuple(edges))
+
+
+def cayley_z4z4(steps) -> MultiGraph:
+    """Cayley graph of Z4 x Z4 for a generating set closed under negation."""
+    edges = set()
+    for a in range(4):
+        for b in range(4):
+            for da, db in steps:
+                u, v = 4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4
+                edges.add((min(u, v), max(u, v)))
+    return MultiGraph(16, tuple(sorted(edges)))
+
+
+def rook_4x4() -> MultiGraph:
+    """K4 x K4, strongly regular with parameters (16, 6, 2, 2)."""
+    return cayley_z4z4([(0, d) for d in (1, 2, 3)] + [(d, 0) for d in (1, 2, 3)])
+
+
+def shrikhande() -> MultiGraph:
+    """The other strongly regular graph with parameters (16, 6, 2, 2)."""
+    return cayley_z4z4([(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)])
+
+
+def random_cubic(rng: random.Random, n: int) -> MultiGraph:
+    """A random simple cubic graph on n (even) vertices, by the pairing
+    model with rejection."""
+    while True:
+        ends = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(ends)
+        pairs = {tuple(sorted(ends[i : i + 2])) for i in range(0, 3 * n, 2)}
+        if len(pairs) == 3 * n // 2 and all(u != v for u, v in pairs):
+            return MultiGraph(n, tuple(sorted(pairs)))
+
+
+def symmetric_graphs() -> dict:
+    """Vertex-transitive graphs on which refinement splits nothing."""
+    return {
+        "petersen": named_graph("petersen"),
+        "heawood": lcf_graph(14, (5, -5)),
+        "Q4": hypercube(4),
+        "K3,3": complete_bipartite(3, 3),
+        "K4,4": complete_bipartite(4, 4),
+        "dodecahedron": dodecahedron(),
+        "rook4x4": rook_4x4(),
+        "shrikhande": shrikhande(),
+    }
 
 
 def girth(g: MultiGraph) -> int:

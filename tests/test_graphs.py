@@ -8,6 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphperiod import graphs
+from graphperiod.families import (
+    connected_simple_graphs,
+    loop_parallel_variants,
+    random_multigraph,
+)
 from graphperiod.graphs import (
     MAX_EDGES,
     MAX_VERTICES,
@@ -15,13 +20,18 @@ from graphperiod.graphs import (
     GraphFormatError,
     GraphTooLargeError,
     MultiGraph,
+    _adjacency,
+    _refine,
     blocks,
     bridges,
     canonical_key,
     classify_edge,
     component_count,
+    component_subgraphs,
     contract_edge,
+    contract_edges,
     delete_edge,
+    delete_edges,
     edge_subgraph,
     named_graph,
     parse_edge_list,
@@ -29,7 +39,16 @@ from graphperiod.graphs import (
     render_edge_list,
     spanning_subgraph_components,
 )
-from conftest import girth
+from conftest import (
+    canonical_key_by_full_search,
+    complete_bipartite,
+    girth,
+    prism,
+    random_cubic,
+    rook_4x4,
+    shrikhande,
+    symmetric_graphs,
+)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -315,6 +334,106 @@ def test_delete_contract_commute_up_to_isomorphism(g, data):
     left = contract_edge(delete_edge(g, e), f_after)
     right = delete_edge(contract_edge(g, f), e_after)
     assert canonical_key(left) == canonical_key(right)
+
+
+def _shuffled_copy(g: MultiGraph, rng: random.Random) -> MultiGraph:
+    vperm = list(range(g.vertex_count))
+    eperm = list(range(g.edge_count))
+    rng.shuffle(vperm)
+    rng.shuffle(eperm)
+    return relabel(g, vperm, eperm)
+
+
+def _doubled(g: MultiGraph) -> MultiGraph:
+    return MultiGraph(g.vertex_count, g.endpoints + (g.endpoints[0],))
+
+
+def test_canonical_key_matches_full_search_on_small_family():
+    for g in connected_simple_graphs(6):
+        for variant in loop_parallel_variants(g):
+            assert canonical_key(variant) == canonical_key_by_full_search(variant)
+
+
+def test_canonical_key_matches_full_search_on_random_multigraphs():
+    rng = random.Random(20261018)
+    loops = parallels = 0
+    for _ in range(300):
+        g = random_multigraph(rng, max_vertices=8, max_edges=14)
+        loops += any(u == v for u, v in g.endpoints)
+        parallels += len(set(g.endpoints)) < g.edge_count
+        assert canonical_key(g) == canonical_key_by_full_search(g)
+    assert loops and parallels
+
+
+def test_canonical_key_matches_full_search_on_random_cubic_graphs():
+    # regular, so refinement splits nothing until a vertex is individualised
+    rng = random.Random(3)
+    for n in (8, 10, 12, 14):
+        for _ in range(10):
+            g = random_cubic(rng, n)
+            assert canonical_key(g) == canonical_key_by_full_search(g)
+
+
+@pytest.mark.parametrize("name", sorted(symmetric_graphs()))
+def test_canonical_key_matches_full_search_on_symmetric_graphs(name):
+    g = _shuffled_copy(symmetric_graphs()[name], random.Random(name))
+    assert canonical_key(g) == canonical_key_by_full_search(g)
+
+
+def _two_triangles():
+    return MultiGraph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
+
+
+REFINEMENT_BLIND_PAIRS = {
+    "rook4x4-shrikhande": (rook_4x4, shrikhande),
+    "prism3-K33": (lambda: prism(3), lambda: complete_bipartite(3, 3)),
+    "C6-two-triangles": (lambda: named_graph("cycle", 6), _two_triangles),
+}
+
+
+@pytest.mark.parametrize("doubled", [False, True])
+@pytest.mark.parametrize("pair", sorted(REFINEMENT_BLIND_PAIRS))
+def test_pruned_search_separates_refinement_blind_pairs(pair, doubled):
+    members = [build() for build in REFINEMENT_BLIND_PAIRS[pair]]
+    for g in members:
+        # regular graphs of one degree: refinement leaves a single cell
+        loops, adj = _adjacency(g)
+        assert set(_refine(g.vertex_count, adj, loops, [0] * g.vertex_count)) == {0}
+    if doubled:
+        members = [_doubled(g) for g in members]
+    keys = [canonical_key(g) for g in members]
+    assert keys[0] != keys[1]
+    rng = random.Random(pair)
+    for g, key in zip(members, keys):
+        for _ in range(20):
+            assert canonical_key(_shuffled_copy(g, rng)) == key
+
+
+def _assert_built_as_validated(h: MultiGraph):
+    validated = MultiGraph(h.vertex_count, h.endpoints)
+    assert h == validated
+    assert type(h.endpoints) is tuple and h.endpoints == validated.endpoints
+    assert all(0 <= u <= v < h.vertex_count for u, v in h.endpoints)
+
+
+def test_structural_operations_build_validated_graphs():
+    rng = random.Random(7)
+    for _ in range(300):
+        g = random_multigraph(rng, max_vertices=8, max_edges=14)
+        edges = list(range(g.edge_count))
+        picked = rng.sample(edges, rng.randint(0, g.edge_count))
+        non_loops = [e for e in edges if g.endpoints[e][0] != g.endpoints[e][1]]
+        contracted = rng.sample(non_loops, rng.randint(0, len(non_loops)))
+        results = [
+            delete_edges(g, picked),
+            contract_edges(g, contracted),
+            edge_subgraph(g, picked),
+            *component_subgraphs(g),
+        ]
+        if edges:
+            results.append(delete_edge(g, rng.choice(edges)))
+        for h in results:
+            _assert_built_as_validated(h)
 
 
 # -- named graphs -----------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from conftest import (
     chromatic_by_own_recursion,
     count_proper_colorings,
     count_spanning_trees,
+    dodecahedron,
 )
 
 
@@ -352,15 +353,6 @@ def test_one_point_join_multiplies():
                 chromatic_deletion_contraction(g1, cache={})
                 * chromatic_deletion_contraction(g2, cache={})
             )
-
-
-def dodecahedron():
-    pattern = (10, 7, 4, -4, -7, 10, -4, 7, -7, 4)
-    edges = {(i, (i + 1) % 20) for i in range(20)}
-    for i in range(20):
-        j = (i + pattern[i % 10]) % 20
-        edges.add((min(i, j), max(i, j)))
-    return MultiGraph(20, tuple(sorted(edges)))
 
 
 def test_dodecahedron_evaluations():
