@@ -1,21 +1,16 @@
 """Graph polynomial invariants and periodicity-exclusion criteria."""
 
 from .graphs import (
-    EdgeClass,
     GraphFormatError,
     MultiGraph,
     canonical_key,
-    classify_edge,
     component_count,
     component_subgraphs,
-    contract_edge,
-    delete_edge,
     is_connected,
     named_graph,
     parse_edge_list,
     relabel,
     render_edge_list,
-    spanning_subgraph_components,
 )
 from .polynomials import (
     ModPolynomial,
@@ -23,7 +18,6 @@ from .polynomials import (
     Polynomial,
     VariableMismatchError,
     divide_exact_monomial,
-    fold_variable,
     is_prime,
     parse_polynomial,
     power_mod,

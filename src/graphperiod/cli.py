@@ -16,7 +16,13 @@ import sys
 
 from . import criteria as crit
 from . import invariants as inv
-from .graphs import MultiGraph, named_graph, parse_edge_list, render_edge_list
+from .graphs import (
+    NAMED_GRAPHS,
+    MultiGraph,
+    named_graph,
+    parse_edge_list,
+    render_edge_list,
+)
 from .polynomials import is_prime, reduce_mod_p
 from .symmetry import (
     DEFAULT_VERTEX_LIMIT,
@@ -30,14 +36,12 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
 
-_NAMED = {"empty", "path", "cycle", "complete", "theta", "petersen", "frucht"}
-
 
 def load_graph(spec: str) -> tuple[MultiGraph, str]:
     """Resolve --graph: a known name spec like ``cycle:5`` wins, otherwise the
     value is read as a file in the edge-list format."""
     name, _, raw_params = spec.partition(":")
-    if name in _NAMED:
+    if name in NAMED_GRAPHS:
         params = []
         if raw_params:
             for chunk in raw_params.split(","):
@@ -52,7 +56,7 @@ def load_graph(spec: str) -> tuple[MultiGraph, str]:
             return parse_edge_list(fh.read()), spec
     raise ValueError(
         f"graph spec {spec!r} is neither a named graph "
-        f"({', '.join(sorted(_NAMED))}) nor an existing file"
+        f"({', '.join(NAMED_GRAPHS)}) nor an existing file"
     )
 
 
@@ -308,6 +312,9 @@ def main(argv=None) -> int:
         return run(request_from_args(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:
+        print("error: the graph is too deep for the recursion", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:
         # exit 1 means "fail / excluded"; a crash must not read as a verdict

@@ -218,7 +218,7 @@ def check_tutte_coefficients(g, p, *, graph_label=None, tutte=None) -> Criterion
 
 
 def check_selfdual_vertex_count(
-    g, p, asserted_self_dual, *, graph_label=None, tutte=None
+    g, p, asserted_self_dual, *, graph_label=None
 ) -> CriterionReport:
     """For planar self-dual graphs, a free period of order p forces
     r == 1 (mod p).
@@ -233,8 +233,7 @@ def check_selfdual_vertex_count(
             "cor1.3 applies only to planar self-dual graphs; the caller must "
             "assert self-duality"
         )
-    if tutte is None:
-        tutte = tutte_deletion_contraction(g).shifted
+    tutte = tutte_deletion_contraction(g).shifted
     swapped = Polynomial(
         tutte.variables, {(j, i): c for (i, j), c in tutte.terms.items()}
     )

@@ -9,7 +9,6 @@ graphs; MultiGraph values are immutable and hashable.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 
@@ -38,12 +37,6 @@ def _check_size(vertices: int, edges: int):
         raise GraphTooLargeError(f"{edges} edges exceed the limit of {MAX_EDGES}")
 
 
-class EdgeClass(enum.Enum):
-    BRIDGE = "bridge"
-    LOOP = "loop"
-    ORDINARY = "ordinary"
-
-
 @dataclass(frozen=True)
 class MultiGraph:
     vertex_count: int
@@ -66,16 +59,6 @@ class MultiGraph:
     @property
     def edge_count(self) -> int:
         return len(self.endpoints)
-
-    def degree(self, v: int) -> int:
-        """Incident edge ends at v; a loop contributes 2."""
-        d = 0
-        for a, b in self.endpoints:
-            if a == v:
-                d += 1
-            if b == v:
-                d += 1
-        return d
 
     def __repr__(self):
         return f"MultiGraph({self.vertex_count}, {list(self.endpoints)!r})"
@@ -146,13 +129,15 @@ def render_edge_list(g: MultiGraph) -> str:
 
 # -- named graphs --------------------------------------------------------
 
+NAMED_GRAPHS = ("empty", "path", "cycle", "complete", "theta", "petersen", "frucht")
+
 # 12-cycle chord offsets for the rigid cubic graph on 12 vertices.
 FRUCHT_LCF = (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)
 
 
 def named_graph(name: str, *params: int) -> MultiGraph:
-    """Build a named graph: empty n, path n, cycle n, complete n, theta k,
-    petersen, frucht.  Parameters count vertices (theta counts edges).
+    """Build one of NAMED_GRAPHS: empty n, path n, cycle n, complete n,
+    theta k, petersen, frucht.  Parameters count vertices (theta counts edges).
     Sizes beyond MAX_VERTICES / MAX_EDGES raise GraphTooLargeError before
     any edge is built."""
 
@@ -209,8 +194,7 @@ def named_graph(name: str, *params: int) -> MultiGraph:
             chords.add((min(i, j), max(i, j)))
         return MultiGraph(12, tuple(cycle + sorted(chords)))
     raise ValueError(
-        f"unknown graph name {name!r}; expected one of empty, path, cycle, "
-        "complete, theta, petersen, frucht"
+        f"unknown graph name {name!r}; expected one of {', '.join(NAMED_GRAPHS)}"
     )
 
 
@@ -222,11 +206,6 @@ def _check_edge(g: MultiGraph, e: int):
         raise ValueError(f"edge index {e} out of range for {g.edge_count} edges")
 
 
-def delete_edge(g: MultiGraph, e: int) -> MultiGraph:
-    _check_edge(g, e)
-    return _trusted(g.vertex_count, g.endpoints[:e] + g.endpoints[e + 1 :])
-
-
 def delete_edges(g: MultiGraph, edge_ids) -> MultiGraph:
     drop = set(edge_ids)
     for e in drop:
@@ -235,22 +214,10 @@ def delete_edges(g: MultiGraph, edge_ids) -> MultiGraph:
     return _trusted(g.vertex_count, kept)
 
 
-def contract_edge(g: MultiGraph, e: int) -> MultiGraph:
-    """Identify the endpoints of a non-loop edge and drop it.
-
-    Edges parallel to e become loops; edges sharing one endpoint re-attach.
-    The identified vertex takes the smaller of the two indices.
-    """
-    _check_edge(g, e)
-    a, b = g.endpoints[e]
-    if a == b:
-        raise ValueError(f"cannot contract loop edge {e}")
-    return contract_edges(g, (e,))
-
-
 def contract_edges(g: MultiGraph, edge_ids) -> MultiGraph:
     """Identify endpoints within each connected chunk of the selected edges
-    (which must contain no loops), dropping the selected edges."""
+    (which must contain no loops), dropping the selected edges; edges
+    parallel to a selected one become loops."""
     selected = sorted(set(edge_ids))
     labels = _component_labels(g, selected)
     for e in selected:
@@ -299,12 +266,6 @@ def _component_labels(g: MultiGraph, edge_ids=None):
 
 def component_count(g: MultiGraph) -> int:
     return len(set(_component_labels(g)))
-
-
-def spanning_subgraph_components(g: MultiGraph, edge_ids) -> int:
-    """Components of the spanning subgraph (V, Y) that keeps exactly the
-    listed edges; isolated vertices count."""
-    return len(set(_component_labels(g, tuple(edge_ids))))
 
 
 def is_connected(g: MultiGraph) -> bool:
@@ -397,14 +358,6 @@ def blocks(g: MultiGraph):
     return out
 
 
-def bridges(g: MultiGraph):
-    """Edge ids whose deletion increases the component count: the blocks
-    made of one edge that is not a loop.  Parallel edges are never bridges."""
-    return sorted(
-        b[0] for b in blocks(g) if len(b) == 1 and len(set(g.endpoints[b[0]])) == 2
-    )
-
-
 def edge_subgraph(g: MultiGraph, edge_ids) -> MultiGraph:
     """The listed edges, in the given order, on the vertices they touch;
     those vertices keep their relative order."""
@@ -412,16 +365,6 @@ def edge_subgraph(g: MultiGraph, edge_ids) -> MultiGraph:
     touched = sorted({v for pair in pairs for v in pair})
     new_id = {v: i for i, v in enumerate(touched)}
     return _trusted(len(touched), tuple((new_id[u], new_id[v]) for u, v in pairs))
-
-
-def classify_edge(g: MultiGraph, e: int) -> EdgeClass:
-    _check_edge(g, e)
-    u, v = g.endpoints[e]
-    if u == v:
-        return EdgeClass.LOOP
-    if e in set(bridges(g)):
-        return EdgeClass.BRIDGE
-    return EdgeClass.ORDINARY
 
 
 def relabel(g: MultiGraph, vertex_perm, edge_perm=None) -> MultiGraph:

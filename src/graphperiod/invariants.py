@@ -140,7 +140,7 @@ def _y_series(k: int, y_zero: bool) -> Polynomial:
     return Polynomial(TUTTE_CLASSIC_VARS, {(0, j): 1 for j in range(k)})
 
 
-def _tau(g: MultiGraph, memo, chooser, y_zero: bool) -> Polynomial:
+def _tau(g: MultiGraph, memo, y_zero: bool) -> Polynomial:
     """tau(G), or tau(G; x, 0) when ``y_zero``: the product over blocks."""
     loops = bridge_count = 0
     pieces = []
@@ -155,7 +155,7 @@ def _tau(g: MultiGraph, memo, chooser, y_zero: bool) -> Polynomial:
         return _ZERO_XY
     result = None
     for block in pieces:
-        part = _tau_block(edge_subgraph(g, block), memo, chooser, y_zero)
+        part = _tau_block(edge_subgraph(g, block), memo, y_zero)
         result = part if result is None else result * part
     monomial = Polynomial.monomial(TUTTE_CLASSIC_VARS, (bridge_count, loops))
     if result is None:
@@ -163,7 +163,7 @@ def _tau(g: MultiGraph, memo, chooser, y_zero: bool) -> Polynomial:
     return result * monomial if bridge_count or loops else result
 
 
-def _tau_block(g: MultiGraph, memo, chooser, y_zero: bool) -> Polynomial:
+def _tau_block(g: MultiGraph, memo, y_zero: bool) -> Polynomial:
     """tau of a loopless 2-connected block with at least two edges."""
     if g.vertex_count == 2:
         # k parallel edges: x + y + ... + y^(k-1)
@@ -187,8 +187,8 @@ def _tau_block(g: MultiGraph, memo, chooser, y_zero: bool) -> Polynomial:
     path = _series_path(g, incident)
     if path:
         # T = (1 + x + ... + x^(k-1)) T(G - P) + T(G / P)
-        rest = _tau(delete_edges(g, path), memo, chooser, y_zero)
-        joined = _tau(contract_edges(g, path), memo, chooser, y_zero)
+        rest = _tau(delete_edges(g, path), memo, y_zero)
+        joined = _tau(contract_edges(g, path), memo, y_zero)
         return _x_series(len(path)) * rest + joined
 
     # one memo may serve both lines: tau(x, 0) and tau(x, y) differ
@@ -196,12 +196,12 @@ def _tau_block(g: MultiGraph, memo, chooser, y_zero: bool) -> Polynomial:
     cached = memo.get(key)
     if cached is not None:
         return cached
-    u, v = g.endpoints[chooser(g)]
+    u, v = g.endpoints[_default_chooser(g)]
     parallel = [e for e, pair in enumerate(g.endpoints) if pair == (u, v)]
     # T = T(G - E) + (1 + y + ... + y^(k-1)) T(G / E) for the class E of e
-    result = _tau(delete_edges(g, parallel), memo, chooser, y_zero) + _y_series(
+    result = _tau(delete_edges(g, parallel), memo, y_zero) + _y_series(
         len(parallel), y_zero
-    ) * _tau(contract_edges(g, parallel), memo, chooser, y_zero)
+    ) * _tau(contract_edges(g, parallel), memo, y_zero)
     memo[key] = result
     return result
 
@@ -227,7 +227,7 @@ def _series_path(g: MultiGraph, incident):
     return path
 
 
-def tutte_deletion_contraction(g: MultiGraph, *, chooser=None, cache=None) -> TuttePair:
+def tutte_deletion_contraction(g: MultiGraph, *, cache=None) -> TuttePair:
     """Tutte polynomial by the reduction-first recursion: blocks multiply
     (loop -> y, bridge -> x), a two-vertex block of k edges is
     x + y + ... + y^(k-1), a k-cycle x + ... + x^(k-1) + y, a maximal series
@@ -235,13 +235,12 @@ def tutte_deletion_contraction(g: MultiGraph, *, chooser=None, cache=None) -> Tu
     otherwise the parallel class E of the chosen edge gives
     tau(G-E) + (1 + y + ... + y^(k-1)) tau(G/E); edgeless -> 1.
 
-    The result is independent of the edge-selection order; ``chooser`` (a
-    function from a block to one of its edge ids) exists so tests can prove
-    that.  ``cache`` overrides the shared session memo (pass a fresh dict to
+    The result is independent of which edge ``_default_chooser`` picks.
+    ``cache`` overrides the shared session memo (pass a fresh dict to
     isolate a computation).
     """
     memo = _tutte_cache if cache is None else cache
-    classic = _tau(g, memo, chooser or _default_chooser, False)
+    classic = _tau(g, memo, False)
     shifted = binomial_substitute(
         classic, {"x": (1, 1, "s"), "y": (1, 1, "t")}, TUTTE_SHIFTED_VARS
     )
@@ -350,12 +349,11 @@ def negami_from_tutte(g: MultiGraph, shifted: Polynomial) -> NegamiPolynomial:
     )
 
 
-def negami_polynomial(g: MultiGraph, *, cache=None) -> NegamiPolynomial:
+def negami_polynomial(g: MultiGraph) -> NegamiPolynomial:
     """The Negami polynomial of g, converted from the memoized Tutte
-    polynomial (``negami_from_tutte``); ``cache`` is passed on to the Tutte
-    recursion.  ``negami_subset_expansion`` gives the same polynomial by an
-    independent route and is kept as its test oracle."""
-    return negami_from_tutte(g, tutte_deletion_contraction(g, cache=cache).shifted)
+    polynomial (``negami_from_tutte``); ``negami_subset_expansion`` is its
+    independent test oracle."""
+    return negami_from_tutte(g, tutte_deletion_contraction(g).shifted)
 
 
 def tutte_from_negami(n: NegamiPolynomial) -> Polynomial:
@@ -382,7 +380,7 @@ def chromatic_deletion_contraction(g: MultiGraph, *, cache=None) -> Polynomial:
     tau(x, 0) from the Tutte recursion run on the line y = 0; any loop forces
     the zero polynomial.  ``cache`` overrides the shared session memo."""
     memo = _chromatic_cache if cache is None else cache
-    on_line = _tau(g, memo, _default_chooser, True)
+    on_line = _tau(g, memo, True)
     value = binomial_substitute(
         on_line, {"x": (1, -1, "λ"), "y": (0, 0, None)}, CHROMATIC_VARS
     )

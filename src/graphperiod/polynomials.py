@@ -20,18 +20,35 @@ class NonDivisibleTermError(ValueError):
     """A term is not divisible by the requested monomial."""
 
 
+# Miller-Rabin on the prime bases 2..41 is exact below _PRIME_TEST_LIMIT
+# (Sorenson & Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError from _PRIME_TEST_LIMIT on."""
+    if n >= _PRIME_TEST_LIMIT:
+        raise ValueError(f"{n} is too large to test for primality")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        # b witnesses compositeness unless b^d = 1 or some b^(d 2^i) = -1
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -331,10 +348,6 @@ class ModPolynomial:
 def reduce_mod_p(a: Polynomial, p: int) -> ModPolynomial:
     """Reduce coefficients into 0..p-1, pruning terms that vanish."""
     return ModPolynomial(a, p)
-
-
-def fold_variable(a: ModPolynomial, name: str) -> ModPolynomial:
-    return a.fold_variable(name)
 
 
 def power_mod(a: ModPolynomial, k: int, fold_names) -> ModPolynomial:

@@ -68,11 +68,6 @@ class Automorphism:
             if sorted(perm) != list(range(len(perm))):
                 raise ValueError(f"{name}_perm is not a permutation")
 
-    def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self.vertex_perm)) and all(
-            i == e for i, e in enumerate(self.edge_perm)
-        )
-
     def order(self) -> int:
         n = 1
         for cycle in _cycles(self.vertex_perm) + _cycles(self.edge_perm):

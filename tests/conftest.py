@@ -12,12 +12,11 @@ from graphperiod.graphs import (
     _adjacency,
     _refine,
     canonical_key,
+    component_count,
     component_subgraphs,
-    contract_edge,
-    delete_edge,
+    contract_edges,
     delete_edges,
     named_graph,
-    spanning_subgraph_components,
 )
 from graphperiod.families import (
     connected_simple_graphs,
@@ -50,7 +49,7 @@ def count_spanning_trees(g: MultiGraph) -> int:
         return 0
     total = 0
     for subset in combinations(range(q), r - 1):
-        if spanning_subgraph_components(g, subset) == 1:
+        if component_count(delete_edges(g, set(range(q)) - set(subset))) == 1:
             total += 1
     return total
 
@@ -80,8 +79,8 @@ def chromatic_by_own_recursion(g: MultiGraph, memo=None) -> Polynomial:
     key = canonical_key(g)
     if key not in memo:
         memo[key] = chromatic_by_own_recursion(
-            delete_edge(g, 0), memo
-        ) - chromatic_by_own_recursion(contract_edge(g, 0), memo)
+            delete_edges(g, (0,)), memo
+        ) - chromatic_by_own_recursion(contract_edges(g, (0,)), memo)
     return memo[key]
 
 

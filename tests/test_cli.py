@@ -286,6 +286,35 @@ def test_non_prime_p_rejected(capsys):
     assert code == 2 and "prime" in err
 
 
+def test_large_prime_answers(capsys):
+    # 10^18 + 3 is prime; trial division up to its square root would hang
+    p = str(10**18 + 3)
+    code, out, _ = run(capsys, "check", "cor1.2", "--graph", "cycle:5", "--p", p)
+    assert code == 1 and "verdict: fail" in out
+    code, out, _ = run(capsys, "compute", "tutte", "--graph", "cycle:5", "--mod", p)
+    assert code == 0 and out.strip() == "5 + 10*s + 10*s^2 + 5*s^3 + s^4 + t"
+
+
+def test_prime_beyond_the_test_limit_exits_2(capsys):
+    code, _, err = run(
+        capsys, "check", "cor1.2", "--graph", "cycle:5", "--p", str(10**25)
+    )
+    assert code == 2 and err.startswith("error:") and "too large" in err
+
+
+def test_deep_recursion_is_an_input_error(tmp_path, capsys):
+    # the fan: vertex 0 joined to every vertex of a 999-vertex path
+    n = 1000
+    lines = [f"n {n}"] + [f"e 0 {v}" for v in range(1, n)]
+    lines += [f"e {v} {v + 1}" for v in range(1, n - 1)]
+    path = tmp_path / "fan.graph"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _, err = run(capsys, "compute", "chromatic", "--graph", str(path))
+    assert code in (0, 2)
+    assert code == 0 or err.startswith("error:")
+    assert "internal error" not in err and "Traceback" not in err
+
+
 def test_internal_error_exits_2_not_1(monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise SoundnessError("oracle contradicts an exclusion")

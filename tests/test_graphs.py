@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,28 +17,22 @@ from graphperiod.families import (
 from graphperiod.graphs import (
     MAX_EDGES,
     MAX_VERTICES,
-    EdgeClass,
     GraphFormatError,
     GraphTooLargeError,
     MultiGraph,
     _adjacency,
     _refine,
     blocks,
-    bridges,
     canonical_key,
-    classify_edge,
     component_count,
     component_subgraphs,
-    contract_edge,
     contract_edges,
-    delete_edge,
     delete_edges,
     edge_subgraph,
     named_graph,
     parse_edge_list,
     relabel,
     render_edge_list,
-    spanning_subgraph_components,
 )
 from conftest import (
     canonical_key_by_full_search,
@@ -131,43 +126,48 @@ def test_render_roundtrip():
 
 
 def test_delete_k2_gives_edgeless():
-    assert delete_edge(parse_edge_list("n 2\ne 0 1"), 0) == MultiGraph(2)
+    assert delete_edges(parse_edge_list("n 2\ne 0 1"), (0,)) == MultiGraph(2)
 
 
 def test_delete_cycle_edge_gives_path():
     c3 = named_graph("cycle", 3)
     for e in range(3):
-        without = delete_edge(c3, e)
+        without = delete_edges(c3, (e,))
         assert without.edge_count == 2 and component_count(without) == 1
 
 
 def test_delete_loop():
-    assert delete_edge(parse_edge_list("n 1\ne 0 0"), 0) == MultiGraph(1)
+    assert delete_edges(parse_edge_list("n 1\ne 0 0"), (0,)) == MultiGraph(1)
 
 
 def test_delete_out_of_range():
     with pytest.raises(ValueError):
-        delete_edge(named_graph("cycle", 3), 3)
+        delete_edges(named_graph("cycle", 3), (3,))
 
 
 def test_contract_k2():
-    assert contract_edge(parse_edge_list("n 2\ne 0 1"), 0) == MultiGraph(1)
+    assert contract_edges(parse_edge_list("n 2\ne 0 1"), (0,)) == MultiGraph(1)
 
 
 def test_contract_parallel_becomes_loop():
     c2 = named_graph("cycle", 2)
-    assert contract_edge(c2, 0) == MultiGraph(1, ((0, 0),))
+    assert contract_edges(c2, (0,)) == MultiGraph(1, ((0, 0),))
 
 
 def test_contract_cycle_gives_smaller_cycle():
     c3 = named_graph("cycle", 3)
-    contracted = contract_edge(c3, 0)
+    contracted = contract_edges(c3, (0,))
     assert canonical_key(contracted) == canonical_key(named_graph("cycle", 2))
 
 
 def test_contract_loop_rejected():
     with pytest.raises(ValueError):
-        contract_edge(parse_edge_list("n 1\ne 0 0"), 0)
+        contract_edges(parse_edge_list("n 1\ne 0 0"), (0,))
+
+
+def test_spanning_subgraph_range_check():
+    with pytest.raises(ValueError):
+        contract_edges(named_graph("cycle", 3), (5,))
 
 
 # -- components --------------------------------------------------------------------
@@ -187,40 +187,7 @@ def test_component_count_disjoint():
     assert component_count(g) == 2
 
 
-def test_spanning_subgraph_empty_subset():
-    g = named_graph("cycle", 5)
-    assert spanning_subgraph_components(g, ()) == 5
-
-
-def test_spanning_subgraph_k2():
-    assert spanning_subgraph_components(parse_edge_list("n 2\ne 0 1"), (0,)) == 1
-
-
-def test_spanning_subgraph_path_in_c5():
-    # edges 0,1,2 form a path covering 4 of 5 vertices: path + isolated = 2
-    assert spanning_subgraph_components(named_graph("cycle", 5), (0, 1, 2)) == 2
-
-
-def test_spanning_subgraph_range_check():
-    with pytest.raises(ValueError):
-        spanning_subgraph_components(named_graph("cycle", 3), (5,))
-
-
-# -- edge classification ---------------------------------------------------------------
-
-
-def test_classify_bridge():
-    assert classify_edge(parse_edge_list("n 2\ne 0 1"), 0) == EdgeClass.BRIDGE
-
-
-def test_classify_loop():
-    assert classify_edge(parse_edge_list("n 1\ne 0 0"), 0) == EdgeClass.LOOP
-
-
-def test_classify_parallel_is_ordinary():
-    c2 = named_graph("cycle", 2)
-    assert classify_edge(c2, 0) == EdgeClass.ORDINARY
-    assert classify_edge(c2, 1) == EdgeClass.ORDINARY
+# -- bridges and blocks ------------------------------------------------------------------
 
 
 def test_deletion_component_growth_matches_classification():
@@ -233,10 +200,14 @@ def test_deletion_component_growth_matches_classification():
                 (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 8))
             ),
         )
+        # a bridge is a block of one edge that is not a loop
+        bridges = {
+            b[0] for b in blocks(g) if len(b) == 1 and len(set(g.endpoints[b[0]])) == 2
+        }
         for e in range(g.edge_count):
-            grew = component_count(delete_edge(g, e)) - component_count(g)
+            grew = component_count(delete_edges(g, (e,))) - component_count(g)
             assert grew in (0, 1)
-            assert (grew == 1) == (classify_edge(g, e) == EdgeClass.BRIDGE)
+            assert (grew == 1) == (e in bridges)
 
 
 def test_blocks_of_necklace_and_loops():
@@ -245,7 +216,6 @@ def test_blocks_of_necklace_and_loops():
         "n 7\ne 0 1\ne 1 2\ne 2 0\ne 2 3\ne 3 4\ne 4 2\ne 4 5\ne 5 6\ne 5 6\ne 6 6"
     )
     assert blocks(g) == [[0, 1, 2], [3, 4, 5], [6], [7, 8], [9]]
-    assert bridges(g) == [6]
 
 
 def test_blocks_partition_edges_into_two_connected_pieces():
@@ -331,8 +301,8 @@ def test_delete_contract_commute_up_to_isomorphism(g, data):
     # delete e first: f's id shifts down when f > e; contract f first: e likewise
     f_after = f - 1 if f > e else f
     e_after = e - 1 if e > f else e
-    left = contract_edge(delete_edge(g, e), f_after)
-    right = delete_edge(contract_edge(g, f), e_after)
+    left = contract_edges(delete_edges(g, (e,)), (f_after,))
+    right = delete_edges(contract_edges(g, (f,)), (e_after,))
     assert canonical_key(left) == canonical_key(right)
 
 
@@ -430,8 +400,6 @@ def test_structural_operations_build_validated_graphs():
             edge_subgraph(g, picked),
             *component_subgraphs(g),
         ]
-        if edges:
-            results.append(delete_edge(g, rng.choice(edges)))
         for h in results:
             _assert_built_as_validated(h)
 
@@ -442,14 +410,16 @@ def test_structural_operations_build_validated_graphs():
 def test_petersen_shape():
     g = named_graph("petersen")
     assert g.vertex_count == 10 and g.edge_count == 15
-    assert all(g.degree(v) == 3 for v in range(10))
+    degrees = Counter(v for pair in g.endpoints for v in pair)
+    assert degrees == dict.fromkeys(range(10), 3)
     assert girth(g) == 5
 
 
 def test_frucht_shape():
     g = named_graph("frucht")
     assert g.vertex_count == 12 and g.edge_count == 18
-    assert all(g.degree(v) == 3 for v in range(12))
+    degrees = Counter(v for pair in g.endpoints for v in pair)
+    assert degrees == dict.fromkeys(range(12), 3)
 
 
 def test_empty_graph():

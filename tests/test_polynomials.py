@@ -13,7 +13,6 @@ from graphperiod.polynomials import (
     VariableMismatchError,
     binomial_substitute,
     divide_exact_monomial,
-    fold_variable,
     is_prime,
     parse_polynomial,
     power_mod,
@@ -93,28 +92,44 @@ def test_is_prime_small_values():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
+def test_is_prime_matches_trial_division():
+    for n in range(100_000):
+        by_division = n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+        assert is_prime(n) == by_division, n
+
+
+def test_is_prime_large_values():
+    assert is_prime(10**18 + 3)
+    assert not is_prime(999999937 * 999999929)
+    # strong pseudoprimes to every prime base up to 23, and up to 37
+    assert not is_prime(149491 * 747451 * 34233211)
+    assert not is_prime(318_665_857_834_031_151_167_461)
+    with pytest.raises(ValueError):
+        is_prime(3_317_044_064_679_887_385_961_981)
+
+
 # -- folding -----------------------------------------------------------------
 
 
 def test_fold_u5_mod3():
     a = reduce_mod_p(parse_polynomial("u^5", ("u",)), 3)
-    assert fold_variable(a, "u").polynomial == parse_polynomial("u", ("u",))
+    assert a.fold_variable("u").polynomial == parse_polynomial("u", ("u",))
 
 
 def test_fold_defining_relation():
     a = reduce_mod_p(parse_polynomial("u^3", ("u",)), 3)
-    assert fold_variable(a, "u").polynomial == parse_polynomial("u", ("u",))
+    assert a.fold_variable("u").polynomial == parse_polynomial("u", ("u",))
 
 
 def test_fold_leaves_constants():
     a = reduce_mod_p(parse_polynomial("2", ("u",)), 3)
-    assert fold_variable(a, "u").polynomial == parse_polynomial("2", ("u",))
+    assert a.fold_variable("u").polynomial == parse_polynomial("2", ("u",))
 
 
 def test_fold_merges_terms():
     # u^3 + u == 2u mod (3, u^3 - u)
     a = reduce_mod_p(parse_polynomial("u^3 + u", ("u",)), 3)
-    assert fold_variable(a, "u").polynomial == parse_polynomial("2*u", ("u",))
+    assert a.fold_variable("u").polynomial == parse_polynomial("2*u", ("u",))
 
 
 # -- substitution ------------------------------------------------------------
@@ -204,7 +219,7 @@ def test_power_mod_cube_fold_u():
 
 def test_power_mod_first_power_folds():
     a = reduce_mod_p(parse_polynomial("u^4", ("u",)), 3)
-    assert power_mod(a, 1, ("u",)) == fold_variable(a, "u")
+    assert power_mod(a, 1, ("u",)) == a.fold_variable("u")
 
 
 def test_power_mod_square_mod2():
