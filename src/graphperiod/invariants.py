@@ -10,6 +10,17 @@ Three invariants of a multigraph G with r vertices, q edges and w components:
   memoized on the exact canonical form and split on a whole parallel class.
   The shifted form T(s, t) = tau(s+1, t+1) is one binomial change of
   variable.
+
+  Inside the recursion tau travels as one Python int (Kronecker
+  substitution; von zur Gathen & Gerhard, "Modern Computer Algebra"): the
+  term c x^i y^j is c in the W-bit slot at bit W*(i*D + j), so the closed
+  forms, block products and the two-way splits are int sums, products and
+  shifts, and the result is unpacked once.  The layout is safe because
+  every value met on the way has nonnegative coefficients, each at most
+  the matching coefficient of tau of some minor of G, hence at most
+  T(1, 1) <= 2^q < 2^W; and no minor has y-degree (nullity) D or more, so
+  neither a slot nor a y-row carries into the next.  The memo key carries
+  the layout, because a packed value reads right only under its own.
 * Negami polynomial N(u, x, y) = sum over edge subsets Y of
   u^{components of (V, Y)} x^{q-|Y|} y^{|Y|}, read off the shifted Tutte
   polynomial of the same recursion: with rank = r - w and nullity = q - rank,
@@ -95,11 +106,6 @@ class NegamiPolynomial:
 
 # -- Tutte by deletion-contraction -----------------------------------------
 
-_ONE_XY = Polynomial.constant(TUTTE_CLASSIC_VARS, 1)
-_ZERO_XY = Polynomial.zero(TUTTE_CLASSIC_VARS)
-_X = Polynomial.variable(TUTTE_CLASSIC_VARS, "x")
-_Y = Polynomial.variable(TUTTE_CLASSIC_VARS, "y")
-
 _tutte_cache: dict = {}
 _chromatic_cache: dict = {}
 
@@ -107,6 +113,50 @@ _chromatic_cache: dict = {}
 def clear_caches():
     _tutte_cache.clear()
     _chromatic_cache.clear()
+
+
+def _layout(g: MultiGraph, components: int, y_zero: bool):
+    """The packing (W, D) of one top-level call on g: c x^i y^j is c in the
+    W-bit slot at bit W*(i*D + j).
+
+    W is q + 1 rounded up to a multiple of 64, so a slot holds 2^q >= T(1, 1)
+    and a whole number of bytes.  D is 1 on the line y = 0; otherwise it
+    exceeds the nullity, and is at least 16 below 64 edges, so that small
+    graphs (every graph on at most 7 vertices) share one layout and one set
+    of memo entries.  D = 1 also serves a forest, which has no y.
+    """
+    q = g.edge_count
+    width = (q // 64 + 1) * 64
+    if y_zero:
+        return width, 1
+    nullity = q - g.vertex_count + components
+    return width, max(nullity + 1, 16 if q < 64 else 1)
+
+
+def _ones(k: int, step: int) -> int:
+    """1 + z + ... + z^(k-1) for z = 2^step (step a multiple of 8), built
+    from bytes in time linear in its length."""
+    return int.from_bytes((1).to_bytes(step // 8, "little") * k, "little")
+
+
+# a translation table that maps every nonzero byte to 1
+_NONZERO = bytes([0] + [1] * 255)
+
+
+def _unpack(packed: int, layout) -> dict:
+    """The term table {(i, j): c} of a packed tau, in time linear in its
+    bytes: ``find`` jumps from one nonzero slot to the next."""
+    width, depth = layout
+    size = width // 8
+    data = packed.to_bytes(-(-packed.bit_length() // width) * size, "little")
+    flags = data.translate(_NONZERO)
+    terms = {}
+    at = flags.find(1)
+    while at >= 0:
+        k = at // size
+        terms[divmod(k, depth)] = int.from_bytes(data[k * size : (k + 1) * size], "little")
+        at = flags.find(1, (k + 1) * size)
+    return terms
 
 
 def _default_chooser(g: MultiGraph) -> int:
@@ -128,20 +178,10 @@ def _default_chooser(g: MultiGraph) -> int:
     return best
 
 
-def _x_series(k: int) -> Polynomial:
-    """1 + x + ... + x^(k-1)."""
-    return Polynomial(TUTTE_CLASSIC_VARS, {(i, 0): 1 for i in range(k)})
-
-
-def _y_series(k: int, y_zero: bool) -> Polynomial:
-    """1 + y + ... + y^(k-1), which is 1 on the line y = 0."""
-    if y_zero:
-        return _ONE_XY
-    return Polynomial(TUTTE_CLASSIC_VARS, {(0, j): 1 for j in range(k)})
-
-
-def _tau(g: MultiGraph, memo, y_zero: bool) -> Polynomial:
-    """tau(G), or tau(G; x, 0) when ``y_zero``: the product over blocks."""
+def _tau(g: MultiGraph, memo, layout) -> int:
+    """tau(G) packed under ``layout``, or tau(G; x, 0) when its D is 1: the
+    product over blocks."""
+    width, depth = layout
     loops = bridge_count = 0
     pieces = []
     for block in blocks(g):
@@ -151,23 +191,23 @@ def _tau(g: MultiGraph, memo, y_zero: bool) -> Polynomial:
             loops += 1
         else:
             bridge_count += 1
-    if loops and y_zero:
-        return _ZERO_XY
-    result = None
+    if loops and depth == 1:
+        return 0
+    result = 1
     for block in pieces:
-        part = _tau_block(edge_subgraph(g, block), memo, y_zero)
-        result = part if result is None else result * part
-    monomial = Polynomial.monomial(TUTTE_CLASSIC_VARS, (bridge_count, loops))
-    if result is None:
-        return monomial
-    return result * monomial if bridge_count or loops else result
+        result *= _tau_block(edge_subgraph(g, block), memo, layout)
+    # times x^bridges y^loops
+    return result << width * (bridge_count * depth + loops)
 
 
-def _tau_block(g: MultiGraph, memo, y_zero: bool) -> Polynomial:
-    """tau of a loopless 2-connected block with at least two edges."""
+def _tau_block(g: MultiGraph, memo, layout) -> int:
+    """Packed tau of a loopless 2-connected block with at least two edges."""
+    width, depth = layout
+    y_zero = depth == 1
+    x = 1 << width * depth
     if g.vertex_count == 2:
-        # k parallel edges: x + y + ... + y^(k-1)
-        return _X + _y_series(g.edge_count, y_zero) - 1
+        # k parallel edges: x + y + ... + y^(k-1), which is x on y = 0
+        return x if y_zero else x - 1 + _ones(g.edge_count, width)
     if y_zero:
         # on y = 0 a parallel class is worth one edge
         seen = set()
@@ -181,27 +221,29 @@ def _tau_block(g: MultiGraph, memo, y_zero: bool) -> Polynomial:
         incident[v].append(e)
     if all(len(inc) == 2 for inc in incident):
         # cycle of k edges: x + ... + x^(k-1) + y
-        cycle = _x_series(g.edge_count) - 1
-        return cycle if y_zero else cycle + _Y
+        cycle = _ones(g.edge_count, width * depth) - 1
+        return cycle if y_zero else cycle + (1 << width)
 
     path = _series_path(g, incident)
     if path:
         # T = (1 + x + ... + x^(k-1)) T(G - P) + T(G / P)
-        rest = _tau(delete_edges(g, path), memo, y_zero)
-        joined = _tau(contract_edges(g, path), memo, y_zero)
-        return _x_series(len(path)) * rest + joined
+        rest = _tau(delete_edges(g, path), memo, layout)
+        joined = _tau(contract_edges(g, path), memo, layout)
+        return _ones(len(path), width * depth) * rest + joined
 
-    # one memo may serve both lines: tau(x, 0) and tau(x, y) differ
-    key = (y_zero, canonical_key(g))
+    # a packed value is read under its own layout; one memo may serve
+    # several layouts and both lines
+    key = (layout, canonical_key(g))
     cached = memo.get(key)
     if cached is not None:
         return cached
     u, v = g.endpoints[_default_chooser(g)]
     parallel = [e for e, pair in enumerate(g.endpoints) if pair == (u, v)]
     # T = T(G - E) + (1 + y + ... + y^(k-1)) T(G / E) for the class E of e
-    result = _tau(delete_edges(g, parallel), memo, y_zero) + _y_series(
-        len(parallel), y_zero
-    ) * _tau(contract_edges(g, parallel), memo, y_zero)
+    # (k = 1 on y = 0)
+    result = _tau(delete_edges(g, parallel), memo, layout) + _ones(
+        len(parallel), width
+    ) * _tau(contract_edges(g, parallel), memo, layout)
     memo[key] = result
     return result
 
@@ -227,6 +269,12 @@ def _series_path(g: MultiGraph, incident):
     return path
 
 
+def _tau_polynomial(g: MultiGraph, memo, components: int, y_zero: bool) -> Polynomial:
+    """tau(x, y), or tau(x, 0) when ``y_zero``, from one packed recursion."""
+    layout = _layout(g, components, y_zero)
+    return Polynomial._trusted(TUTTE_CLASSIC_VARS, _unpack(_tau(g, memo, layout), layout))
+
+
 def tutte_deletion_contraction(g: MultiGraph, *, cache=None) -> TuttePair:
     """Tutte polynomial by the reduction-first recursion: blocks multiply
     (loop -> y, bridge -> x), a two-vertex block of k edges is
@@ -240,7 +288,7 @@ def tutte_deletion_contraction(g: MultiGraph, *, cache=None) -> TuttePair:
     isolate a computation).
     """
     memo = _tutte_cache if cache is None else cache
-    classic = _tau(g, memo, False)
+    classic = _tau_polynomial(g, memo, component_count(g), False)
     shifted = binomial_substitute(
         classic, {"x": (1, 1, "s"), "y": (1, 1, "t")}, TUTTE_SHIFTED_VARS
     )
@@ -342,7 +390,7 @@ def negami_from_tutte(g: MultiGraph, shifted: Polynomial) -> NegamiPolynomial:
         for (i, j), coeff in shifted.terms.items()
     }
     return NegamiPolynomial(
-        polynomial=Polynomial(NEGAMI_VARS, table),
+        polynomial=Polynomial._trusted(NEGAMI_VARS, table),
         vertex_count=r,
         edge_count=q,
         components=w,
@@ -380,13 +428,15 @@ def chromatic_deletion_contraction(g: MultiGraph, *, cache=None) -> Polynomial:
     tau(x, 0) from the Tutte recursion run on the line y = 0; any loop forces
     the zero polynomial.  ``cache`` overrides the shared session memo."""
     memo = _chromatic_cache if cache is None else cache
-    on_line = _tau(g, memo, True)
+    w = component_count(g)
+    on_line = _tau_polynomial(g, memo, w, True)
     value = binomial_substitute(
         on_line, {"x": (1, -1, "λ"), "y": (0, 0, None)}, CHROMATIC_VARS
     )
-    w = component_count(g)
     sign = -1 if (g.vertex_count - w) % 2 else 1
-    return Polynomial(CHROMATIC_VARS, {(e + w,): sign * c for (e,), c in value.terms.items()})
+    return Polynomial._trusted(
+        CHROMATIC_VARS, {(e + w,): sign * c for (e,), c in value.terms.items()}
+    )
 
 
 def chromatic_from_negami(n: NegamiPolynomial) -> Polynomial:

@@ -91,6 +91,16 @@ class Polynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _trusted(cls, variables: tuple, terms: dict):
+        """A Polynomial built without the checks of ``__init__``, for
+        results computed here: ``variables`` is a tuple and ``terms`` maps
+        exponent tuples of its width, all >= 0, to nonzero ints."""
+        out = cls.__new__(cls)
+        out.variables = variables
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, variables):
         return cls(variables, ())
 
@@ -163,18 +173,12 @@ class Polynomial:
                 table[exps] = acc
             elif exps in table:
                 del table[exps]
-        out = Polynomial.__new__(Polynomial)
-        out.variables = self.variables
-        out.terms = table
-        return out
+        return Polynomial._trusted(self.variables, table)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Polynomial.__new__(Polynomial)
-        out.variables = self.variables
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return Polynomial._trusted(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -198,10 +202,7 @@ class Polynomial:
                     table[exps] = acc
                 elif exps in table:
                     del table[exps]
-        out = Polynomial.__new__(Polynomial)
-        out.variables = self.variables
-        out.terms = table
-        return out
+        return Polynomial._trusted(self.variables, table)
 
     __rmul__ = __mul__
 
@@ -236,19 +237,26 @@ class Polynomial:
 
 
 class ModPolynomial:
-    """A polynomial over Z_p: coefficients normalized into 0..p-1."""
+    """A polynomial over Z_p: coefficients normalized into 0..p-1.
+
+    The constructor tests that p is prime; results built from a
+    ModPolynomial reuse its modulus and skip the test.
+    """
 
     __slots__ = ("polynomial", "modulus")
 
     def __init__(self, polynomial: Polynomial, modulus: int):
         _require_prime(modulus)
-        table = {}
-        for exps, coeff in polynomial.terms.items():
-            c = coeff % modulus
-            if c:
-                table[exps] = c
-        self.polynomial = Polynomial(polynomial.variables, table)
+        self.polynomial = _reduced(polynomial, modulus)
         self.modulus = modulus
+
+    @classmethod
+    def _trusted(cls, polynomial: Polynomial, modulus: int):
+        """``polynomial`` reduced modulo ``modulus``, a prime already tested."""
+        out = cls.__new__(cls)
+        out.polynomial = _reduced(polynomial, modulus)
+        out.modulus = modulus
+        return out
 
     @property
     def variables(self):
@@ -268,14 +276,14 @@ class ModPolynomial:
         if isinstance(other, (Polynomial, int)):
             if isinstance(other, int):
                 other = Polynomial.constant(self.variables, other)
-            return ModPolynomial(other, self.modulus)
+            return ModPolynomial._trusted(other, self.modulus)
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ModPolynomial(self.polynomial + other.polynomial, self.modulus)
+        return ModPolynomial._trusted(self.polynomial + other.polynomial, self.modulus)
 
     __radd__ = __add__
 
@@ -283,13 +291,13 @@ class ModPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ModPolynomial(self.polynomial - other.polynomial, self.modulus)
+        return ModPolynomial._trusted(self.polynomial - other.polynomial, self.modulus)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ModPolynomial(self.polynomial * other.polynomial, self.modulus)
+        return ModPolynomial._trusted(self.polynomial * other.polynomial, self.modulus)
 
     __rmul__ = __mul__
 
@@ -319,7 +327,7 @@ class ModPolynomial:
                 table[exps] = acc
             elif exps in table:
                 del table[exps]
-        return ModPolynomial(Polynomial(self.variables, table), p)
+        return ModPolynomial._trusted(Polynomial._trusted(self.variables, table), p)
 
     def fold(self, names) -> "ModPolynomial":
         out = self
@@ -340,6 +348,16 @@ class ModPolynomial:
 
     def __repr__(self):
         return f"ModPolynomial({self.polynomial!r}, {self.modulus})"
+
+
+def _reduced(polynomial: Polynomial, p: int) -> Polynomial:
+    """Coefficients reduced into 0..p-1, the terms that vanish dropped."""
+    table = {}
+    for exps, coeff in polynomial.terms.items():
+        c = coeff % p
+        if c:
+            table[exps] = c
+    return Polynomial._trusted(polynomial.variables, table)
 
 
 # -- module-level operations ------------------------------------------
@@ -367,7 +385,8 @@ def power_mod(a: ModPolynomial, k: int, fold_names) -> ModPolynomial:
     if rest != 1:
         raise ValueError(f"exponent {k} is not a power of the modulus {p}")
     scaled = {tuple(e * k for e in exps): c for exps, c in a.terms.items()}
-    return ModPolynomial(Polynomial(a.variables, scaled), p).fold(fold_names)
+    # exps -> k*exps is one-to-one, so the terms stay distinct
+    return ModPolynomial._trusted(Polynomial._trusted(a.variables, scaled), p).fold(fold_names)
 
 
 def substitute(a: Polynomial, mapping: dict, variables=None) -> Polynomial:
@@ -468,7 +487,7 @@ def binomial_substitute(a: Polynomial, images: dict, variables) -> Polynomial:
             partial = grown
         for out_exps, acc in partial:
             table[out_exps] = table.get(out_exps, 0) + acc
-    return Polynomial(target, table)  # drops the terms that cancelled
+    return Polynomial._trusted(target, {e: c for e, c in table.items() if c})
 
 
 def divide_exact_monomial(a: Polynomial, monomial: dict) -> Polynomial:

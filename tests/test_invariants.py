@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from graphperiod import invariants
-from graphperiod.families import loop_parallel_variants
+from graphperiod.families import loop_parallel_variants, random_multigraph
 from graphperiod.graphs import MultiGraph, is_connected, named_graph, parse_edge_list
 from graphperiod.invariants import (
     CHROMATIC_VARS,
@@ -18,6 +18,7 @@ from graphperiod.invariants import (
     chromatic_from_negami,
     negami_polynomial,
     negami_subset_expansion,
+    negami_from_tutte,
     tutte_deletion_contraction,
     tutte_from_negami,
 )
@@ -204,6 +205,45 @@ def test_one_cache_serves_both_recursions(g, tutte_first):
     assert (tutte, chromatic) == expected
 
 
+def test_memo_is_keyed_by_layout():
+    # a 60-edge cycle at one vertex: q = 75 takes petersen's blocks to a
+    # wider packing than petersen alone uses
+    petersen = named_graph("petersen")
+    glued = one_point_join(petersen, named_graph("cycle", 60))
+    assert glued.edge_count == 75
+    graphs = [glued, petersen]
+    expected = [
+        (tutte_deletion_contraction(g, cache={}), chromatic_deletion_contraction(g, cache={}))
+        for g in graphs
+    ]
+    for order in ((0, 1), (1, 0)):
+        shared = {}
+        got = [None, None]
+        for i in order:
+            got[i] = (
+                tutte_deletion_contraction(graphs[i], cache=shared),
+                chromatic_deletion_contraction(graphs[i], cache=shared),
+            )
+        assert got == expected
+
+
+def test_trusted_results_pass_the_public_checks():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        g = random_multigraph(rng, max_vertices=8, max_edges=14)
+        pair = tutte_deletion_contraction(g, cache={})
+        results = (
+            pair.classic,
+            pair.shifted,
+            chromatic_deletion_contraction(g, cache={}),
+            negami_from_tutte(g, pair.shifted).polynomial,
+        )
+        for h in results:
+            checked = Polynomial(h.variables, h.terms)
+            assert h.variables == checked.variables
+            assert list(h.terms.items()) == list(checked.terms.items()), g
+
+
 def test_chromatic_edgeless():
     assert chromatic_deletion_contraction(MultiGraph(3)) == lam("λ^3")
 
@@ -353,6 +393,25 @@ def test_one_point_join_multiplies():
                 chromatic_deletion_contraction(g1, cache={})
                 * chromatic_deletion_contraction(g2, cache={})
             )
+
+
+def test_long_path_and_cycle():
+    assert tutte_deletion_contraction(named_graph("path", 2000), cache={}).classic == (
+        Polynomial.monomial(TUTTE_CLASSIC_VARS, (1999, 0))
+    )
+    assert tutte_deletion_contraction(named_graph("cycle", 1000), cache={}).classic == (
+        x_series(1000) - 1 + classic("y")
+    )
+
+
+def test_chromatic_of_a_long_fan():
+    # a hub joined to every vertex of a 299-vertex path
+    spokes = tuple((0, v) for v in range(1, 300))
+    rim = tuple((v, v + 1) for v in range(1, 299))
+    fan = MultiGraph(300, spokes + rim)
+    assert chromatic_deletion_contraction(fan, cache={}) == (
+        lam("λ") * lam("λ - 1") * lam("λ - 2") ** 298
+    )
 
 
 def test_dodecahedron_evaluations():

@@ -87,6 +87,32 @@ def test_reduce_requires_prime():
         reduce_mod_p(P("x"), 1)
 
 
+def test_mod_polynomial_requires_prime():
+    with pytest.raises(ValueError):
+        ModPolynomial(P("x"), 4)
+    with pytest.raises(ValueError):
+        reduce_mod_p(P("x"), 4)
+
+
+def test_modulus_is_tested_once(monkeypatch):
+    from graphperiod import polynomials
+
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(polynomials, "is_prime", counted)
+    p = 10**18 + 3
+    a = reduce_mod_p(P("3*x^2 + 2*y"), p)
+    assert calls == [p]
+    b = (a + a) * a - P("x") + 1
+    b.fold(XY).fold_variable("x")
+    power_mod(b, p, XY)
+    assert calls == [p]
+
+
 def test_is_prime_small_values():
     primes = [n for n in range(30) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -184,6 +210,12 @@ def test_binomial_substitute_onto_one_variable():
     out = binomial_substitute(P("x^2 + x"), {"x": (1, -1, "λ"), "y": (0, 0, None)}, lam)
     assert out == parse_polynomial("2 - 3*λ + λ^2", lam)
     assert binomial_substitute(P("x*y"), {"x": (1, -1, "λ"), "y": (0, 0, None)}, lam) == 0
+
+
+def test_binomial_substitute_drops_cancelled_terms():
+    # x, y -> 1 + s: the s^2 of x^2 and of -y^2 cancel
+    out = binomial_substitute(P("x^2 - y^2 + x"), {"x": (1, 1, "s"), "y": (1, 1, "s")}, ST)
+    assert out.terms == {(0, 0): 1, (1, 0): 1}
 
 
 # -- exact monomial division --------------------------------------------------
