@@ -14,13 +14,18 @@ Three invariants of a multigraph G with r vertices, q edges and w components:
   Inside the recursion tau travels as one Python int (Kronecker
   substitution; von zur Gathen & Gerhard, "Modern Computer Algebra"): the
   term c x^i y^j is c in the W-bit slot at bit W*(i*D + j), so the closed
-  forms, block products and the two-way splits are int sums, products and
-  shifts, and the result is unpacked once.  The layout is safe because
-  every value met on the way has nonnegative coefficients, each at most
-  the matching coefficient of tau of some minor of G, hence at most
-  T(1, 1) <= 2^q < 2^W; and no minor has y-degree (nullity) D or more, so
-  neither a slot nor a y-row carries into the next.  The memo key carries
-  the layout, because a packed value reads right only under its own.
+  forms and the two-way splits are int sums, products and shifts.  Each
+  block is packed under a layout (W, D) of its own, is memoized under it,
+  and moves into a caller's larger layout by slices of 64-bit words.  The
+  layout is safe because every value met in a block's recursion has
+  nonnegative coefficients, each at most the matching coefficient of tau
+  of some minor of the block, hence at most T(1, 1) <= 2^q < 2^W; and no
+  minor has y-degree (nullity) D or more, so neither a slot nor a y-row
+  carries into the next.  A packed value costs its (rank+1) x (nullity+1)
+  box, not its terms.  The tau of one block fills much of its box (36 to
+  60 % for the memoized blocks of the poly-dense benchmark), but a product
+  of k blocks fills a share that shrinks with k ((x + y)^k has k + 1 terms
+  in (k + 1)^2 slots), so blocks multiply term by term.
 * Negami polynomial N(u, x, y) = sum over edge subsets Y of
   u^{components of (V, Y)} x^{q-|Y|} y^{|Y|}, read off the shifted Tutte
   polynomial of the same recursion: with rank = r - w and nullity = q - rank,
@@ -38,6 +43,7 @@ oracle that the recursion is tested against on small graphs.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .graphs import (
@@ -115,28 +121,39 @@ def clear_caches():
     _chromatic_cache.clear()
 
 
-def _layout(g: MultiGraph, components: int, y_zero: bool):
-    """The packing (W, D) of one top-level call on g: c x^i y^j is c in the
-    W-bit slot at bit W*(i*D + j).
+def _layout(g: MultiGraph, y_zero: bool):
+    """The packing (W, D) of the block g: c x^i y^j is c in the W-bit slot at
+    bit W*(i*D + j).
 
-    W is q + 1 rounded up to a multiple of 64, so a slot holds 2^q >= T(1, 1)
-    and a whole number of bytes.  D is 1 on the line y = 0; otherwise it
-    exceeds the nullity, and is at least 16 below 64 edges, so that small
-    graphs (every graph on at most 7 vertices) share one layout and one set
-    of memo entries.  D = 1 also serves a forest, which has no y.
+    W is q + 1 rounded up to a multiple of 64, so a slot holds
+    2^q >= T(1, 1) of g and of every minor of g, in whole 64-bit words.  D
+    is 1 on the line y = 0; otherwise it exceeds the nullity q - r + 1, and
+    is at least 16 below 64 edges, so that small blocks (all those of
+    simple graphs on at most 7 vertices) share one layout and pass values
+    between them unchanged.
     """
     q = g.edge_count
     width = (q // 64 + 1) * 64
     if y_zero:
         return width, 1
-    nullity = q - g.vertex_count + components
-    return width, max(nullity + 1, 16 if q < 64 else 1)
+    return width, max(q - g.vertex_count + 2, 16 if q < 64 else 1)
 
 
 def _ones(k: int, step: int) -> int:
     """1 + z + ... + z^(k-1) for z = 2^step (step a multiple of 8), built
     from bytes in time linear in its length."""
     return int.from_bytes((1).to_bytes(step // 8, "little") * k, "little")
+
+
+def _pack(terms: dict, layout) -> int:
+    """The packed int of a term table {(i, j): c}, written as bytes."""
+    width, depth = layout
+    size = width // 8
+    data = bytearray(size * (1 + max(i * depth + j for i, j in terms)))
+    for (i, j), c in terms.items():
+        at = size * (i * depth + j)
+        data[at : at + size] = c.to_bytes(size, "little")
+    return int.from_bytes(data, "little")
 
 
 # a translation table that maps every nonzero byte to 1
@@ -159,6 +176,23 @@ def _unpack(packed: int, layout) -> dict:
     return terms
 
 
+def _repack(packed: int, source, target) -> int:
+    """A value packed under ``source`` moved to ``target``, whose W is no
+    smaller and whose D exceeds the value's y-degree: one slice of 64-bit
+    words per column and word of a slot, so linear in the bytes."""
+    if source == target:
+        return packed
+    (w1, d1), (w2, d2) = source, target
+    a, b = w1 // 64, w2 // 64
+    rows = -(-packed.bit_length() // (w1 * d1))
+    words = array("Q", packed.to_bytes(8 * a * d1 * rows, "little"))
+    out = array("Q", bytes(8 * b * d2 * rows))
+    for j in range(min(d1, d2)):
+        for t in range(a):
+            out[j * b + t :: b * d2] = words[j * a + t :: a * d1]
+    return int.from_bytes(out, "little")
+
+
 def _default_chooser(g: MultiGraph) -> int:
     """An edge at vertex 0, where earlier contractions merged, in its largest
     parallel class; ties go to the other endpoint of larger degree, then to
@@ -178,11 +212,10 @@ def _default_chooser(g: MultiGraph) -> int:
     return best
 
 
-def _tau(g: MultiGraph, memo, layout) -> int:
-    """tau(G) packed under ``layout``, or tau(G; x, 0) when its D is 1: the
-    product over blocks."""
-    width, depth = layout
-    loops = bridge_count = 0
+def _split(g: MultiGraph):
+    """The edge ids of each block of g with two or more edges, and g's
+    numbers of bridges and loops."""
+    loops = bridges = 0
     pieces = []
     for block in blocks(g):
         if len(block) > 1:
@@ -190,18 +223,45 @@ def _tau(g: MultiGraph, memo, layout) -> int:
         elif g.endpoints[block[0]][0] == g.endpoints[block[0]][1]:
             loops += 1
         else:
-            bridge_count += 1
+            bridges += 1
+    return pieces, bridges, loops
+
+
+def _times(g: MultiGraph, pieces, bridges: int, loops: int, memo, y_zero: bool) -> dict:
+    """x^bridges y^loops times tau of each block of g in ``pieces``, as a
+    term table.  Each block is packed under its own layout, but the product
+    is taken term by term: k blocks fill a share of their joint
+    (rank+1) x (nullity+1) box that shrinks with k ((x + y)^k has k + 1
+    terms in (k + 1)^2 slots), so a packed product would cost the box, not
+    the terms."""
+    product = Polynomial.monomial(TUTTE_CLASSIC_VARS, (bridges, loops))
+    for block in pieces:
+        h = edge_subgraph(g, block)
+        layout = _layout(h, y_zero)
+        tau = _unpack(_tau_block(h, memo, layout), layout)
+        product = product * Polynomial._trusted(TUTTE_CLASSIC_VARS, tau)
+    return product.terms
+
+
+def _tau(g: MultiGraph, memo, layout) -> int:
+    """tau(G) packed under ``layout``, or tau(G; x, 0) when its D is 1: one
+    block stays packed and is shifted by x^bridges y^loops; several
+    multiply term by term."""
+    width, depth = layout
+    pieces, bridges, loops = _split(g)
     if loops and depth == 1:
         return 0
-    result = 1
-    for block in pieces:
-        result *= _tau_block(edge_subgraph(g, block), memo, layout)
-    # times x^bridges y^loops
-    return result << width * (bridge_count * depth + loops)
+    if len(pieces) > 1:
+        return _pack(_times(g, pieces, bridges, loops, memo, depth == 1), layout)
+    result = _tau_block(edge_subgraph(g, pieces[0]), memo, layout) if pieces else 1
+    return result << width * (bridges * depth + loops)
 
 
 def _tau_block(g: MultiGraph, memo, layout) -> int:
-    """Packed tau of a loopless 2-connected block with at least two edges."""
+    """Packed tau, under ``layout``, of a loopless 2-connected block with at
+    least two edges.  The closed forms are written in ``layout``; a series
+    path and a split run under the block's own layout, which its minors
+    share, and the result moves into ``layout`` once."""
     width, depth = layout
     y_zero = depth == 1
     x = 1 << width * depth
@@ -224,28 +284,29 @@ def _tau_block(g: MultiGraph, memo, layout) -> int:
         cycle = _ones(g.edge_count, width * depth) - 1
         return cycle if y_zero else cycle + (1 << width)
 
+    own = _layout(g, y_zero)
     path = _series_path(g, incident)
     if path:
         # T = (1 + x + ... + x^(k-1)) T(G - P) + T(G / P)
-        rest = _tau(delete_edges(g, path), memo, layout)
-        joined = _tau(contract_edges(g, path), memo, layout)
-        return _ones(len(path), width * depth) * rest + joined
+        rest = _tau(delete_edges(g, path), memo, own)
+        joined = _tau(contract_edges(g, path), memo, own)
+        return _repack(_ones(len(path), own[0] * own[1]) * rest + joined, own, layout)
 
-    # a packed value is read under its own layout; one memo may serve
-    # several layouts and both lines
-    key = (layout, canonical_key(g))
+    # the memo holds each block under its own layout, so an entry is the
+    # size of its block and serves every graph that has the block; the
+    # layout in the key keeps the two lines apart
+    key = (own, canonical_key(g))
     cached = memo.get(key)
-    if cached is not None:
-        return cached
-    u, v = g.endpoints[_default_chooser(g)]
-    parallel = [e for e, pair in enumerate(g.endpoints) if pair == (u, v)]
-    # T = T(G - E) + (1 + y + ... + y^(k-1)) T(G / E) for the class E of e
-    # (k = 1 on y = 0)
-    result = _tau(delete_edges(g, parallel), memo, layout) + _ones(
-        len(parallel), width
-    ) * _tau(contract_edges(g, parallel), memo, layout)
-    memo[key] = result
-    return result
+    if cached is None:
+        u, v = g.endpoints[_default_chooser(g)]
+        parallel = [e for e, pair in enumerate(g.endpoints) if pair == (u, v)]
+        # T = T(G - E) + (1 + y + ... + y^(k-1)) T(G / E) for the class E of
+        # e (k = 1 on y = 0)
+        cached = _tau(delete_edges(g, parallel), memo, own) + _ones(
+            len(parallel), own[0]
+        ) * _tau(contract_edges(g, parallel), memo, own)
+        memo[key] = cached
+    return _repack(cached, own, layout)
 
 
 def _series_path(g: MultiGraph, incident):
@@ -269,10 +330,14 @@ def _series_path(g: MultiGraph, incident):
     return path
 
 
-def _tau_polynomial(g: MultiGraph, memo, components: int, y_zero: bool) -> Polynomial:
-    """tau(x, y), or tau(x, 0) when ``y_zero``, from one packed recursion."""
-    layout = _layout(g, components, y_zero)
-    return Polynomial._trusted(TUTTE_CLASSIC_VARS, _unpack(_tau(g, memo, layout), layout))
+def _tau_polynomial(g: MultiGraph, memo, y_zero: bool) -> Polynomial:
+    """tau(x, y), or tau(x, 0) when ``y_zero``: the blocks of g from the
+    packed recursion, multiplied term by term."""
+    pieces, bridges, loops = _split(g)
+    if loops and y_zero:
+        return Polynomial.zero(TUTTE_CLASSIC_VARS)
+    terms = _times(g, pieces, bridges, loops, memo, y_zero)
+    return Polynomial._trusted(TUTTE_CLASSIC_VARS, terms)
 
 
 def tutte_deletion_contraction(g: MultiGraph, *, cache=None) -> TuttePair:
@@ -288,7 +353,7 @@ def tutte_deletion_contraction(g: MultiGraph, *, cache=None) -> TuttePair:
     isolate a computation).
     """
     memo = _tutte_cache if cache is None else cache
-    classic = _tau_polynomial(g, memo, component_count(g), False)
+    classic = _tau_polynomial(g, memo, False)
     shifted = binomial_substitute(
         classic, {"x": (1, 1, "s"), "y": (1, 1, "t")}, TUTTE_SHIFTED_VARS
     )
@@ -429,7 +494,7 @@ def chromatic_deletion_contraction(g: MultiGraph, *, cache=None) -> Polynomial:
     the zero polynomial.  ``cache`` overrides the shared session memo."""
     memo = _chromatic_cache if cache is None else cache
     w = component_count(g)
-    on_line = _tau_polynomial(g, memo, w, True)
+    on_line = _tau_polynomial(g, memo, True)
     value = binomial_substitute(
         on_line, {"x": (1, -1, "λ"), "y": (0, 0, None)}, CHROMATIC_VARS
     )

@@ -7,7 +7,14 @@ import pytest
 
 from graphperiod import invariants
 from graphperiod.families import loop_parallel_variants, random_multigraph
-from graphperiod.graphs import MultiGraph, is_connected, named_graph, parse_edge_list
+from graphperiod.graphs import (
+    MultiGraph,
+    contract_edges,
+    delete_edges,
+    is_connected,
+    named_graph,
+    parse_edge_list,
+)
 from graphperiod.invariants import (
     CHROMATIC_VARS,
     NEGAMI_VARS,
@@ -227,6 +234,19 @@ def test_memo_is_keyed_by_layout():
         assert got == expected
 
 
+def test_memo_entries_belong_to_blocks():
+    # each memoized block is packed under its own layout, so petersen's
+    # entries serve petersen inside a larger graph and nothing is added
+    petersen = named_graph("petersen")
+    glued = one_point_join(petersen, named_graph("cycle", 60))
+    for compute in (tutte_deletion_contraction, chromatic_deletion_contraction):
+        shared = {}
+        compute(petersen, cache=shared)
+        entries = dict(shared)
+        compute(glued, cache=shared)
+        assert shared == entries
+
+
 def test_trusted_results_pass_the_public_checks():
     rng = random.Random(20261018)
     for _ in range(300):
@@ -412,6 +432,37 @@ def test_chromatic_of_a_long_fan():
     assert chromatic_deletion_contraction(fan, cache={}) == (
         lam("λ") * lam("λ - 1") * lam("λ - 2") ** 298
     )
+
+
+def test_long_subdivided_edge():
+    # petersen with edge 0 drawn as a 60-edge path is one block with q = 74
+    # and nullity 6: its packing has wider slots and a smaller D than the
+    # blocks of petersen's minors, which are repacked into it
+    petersen = named_graph("petersen")
+    u, v = petersen.endpoints[0]
+    path = [u] + list(range(10, 69)) + [v]
+    g = MultiGraph(69, petersen.endpoints[1:] + tuple(zip(path, path[1:])))
+    assert g.edge_count == 74
+    rest = tutte_deletion_contraction(delete_edges(petersen, [0]), cache={}).classic
+    joined = tutte_deletion_contraction(contract_edges(petersen, [0]), cache={}).classic
+    assert tutte_deletion_contraction(g, cache={}).classic == x_series(60) * rest + joined
+
+
+def test_chain_of_digons():
+    # 300 blocks: (x + y)^300 has 301 terms in a 301 x 301 box
+    chain = MultiGraph(301, tuple((v, v + 1) for v in range(300) for _ in range(2)))
+    assert tutte_deletion_contraction(chain, cache={}).classic == classic("x + y") ** 300
+
+
+def test_necklace_of_digons():
+    # one block, and deleting a digon leaves a chain of digons:
+    # T(N_k) = (x + y)^(k-1) + (1 + y) T(N_(k-1)), T(N_1) = y^2
+    necklace = MultiGraph(100, tuple((v, (v + 1) % 100) for v in range(100) for _ in range(2)))
+    expected, power = classic("y^2"), classic("1")
+    for _ in range(99):
+        power = power * classic("x + y")
+        expected = power + classic("1 + y") * expected
+    assert tutte_deletion_contraction(necklace, cache={}).classic == expected
 
 
 def test_dodecahedron_evaluations():
