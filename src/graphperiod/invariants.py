@@ -8,8 +8,12 @@ Three invariants of a multigraph G with r vertices, q edges and w components:
   vertices, loops (y) and bridges (x) are one split; two-vertex blocks,
   cycles and maximal series paths have closed forms; only what remains is
   memoized on the exact canonical form and split on a whole parallel class.
-  The shifted form T(s, t) = tau(s+1, t+1) is one binomial change of
-  variable.
+  The shifted form T(s, t) = tau(s+1, t+1) is a Taylor shift of the
+  blocks' packed product by Horner's rule, in x and, after a transpose, in
+  y (von zur Gathen & Gerhard, ISSAC 1997), in slots of the whole graph's
+  W: every coefficient of tau(x+1, y) and of tau(x+1, y+1) is nonnegative
+  and at most tau(2, 2) = 2^q < 2^W.  Bridges and loops enter afterwards,
+  as the rows (s+1)^b and (t+1)^l.
 
   Inside the recursion tau travels as one Python int (Kronecker
   substitution; von zur Gathen & Gerhard, "Modern Computer Algebra"): the
@@ -35,7 +39,8 @@ Three invariants of a multigraph G with r vertices, q edges and w components:
   invariants of graphs", Trans. AMS 299, 1987).
 * Chromatic polynomial P(lam) = (-1)^{r-w} lam^w tau(1-lam, 0), by the same
   recursion run on the line y = 0 (a loop gives 0, a parallel class counts
-  as one edge), and independently by specializing N as (-1)^q N(lam, -1, 1).
+  as one edge) and the same shift at x = -lam, and independently by
+  specializing N as (-1)^q N(lam, -1, 1).
 
 The direct 2^q subset expansion of N is kept only as the ground-truth
 oracle that the recursion is tested against on small graphs.
@@ -55,12 +60,7 @@ from .graphs import (
     delete_edges,
     edge_subgraph,
 )
-from .polynomials import (
-    Polynomial,
-    binomial_substitute,
-    divide_exact_monomial,
-    substitute,
-)
+from .polynomials import Polynomial, divide_exact_monomial, substitute
 
 TUTTE_CLASSIC_VARS = ("x", "y")
 TUTTE_SHIFTED_VARS = ("s", "t")
@@ -227,14 +227,14 @@ def _split(g: MultiGraph):
     return pieces, bridges, loops
 
 
-def _times(g: MultiGraph, pieces, bridges: int, loops: int, memo, y_zero: bool) -> dict:
-    """x^bridges y^loops times tau of each block of g in ``pieces``, as a
+def _times(g: MultiGraph, pieces, memo, y_zero: bool) -> dict:
+    """The product of tau of each block of g in ``pieces``, as a
     term table.  Each block is packed under its own layout, but the product
     is taken term by term: k blocks fill a share of their joint
     (rank+1) x (nullity+1) box that shrinks with k ((x + y)^k has k + 1
     terms in (k + 1)^2 slots), so a packed product would cost the box, not
     the terms."""
-    product = Polynomial.monomial(TUTTE_CLASSIC_VARS, (bridges, loops))
+    product = Polynomial.constant(TUTTE_CLASSIC_VARS, 1)
     for block in pieces:
         h = edge_subgraph(g, block)
         layout = _layout(h, y_zero)
@@ -245,15 +245,16 @@ def _times(g: MultiGraph, pieces, bridges: int, loops: int, memo, y_zero: bool) 
 
 def _tau(g: MultiGraph, memo, layout) -> int:
     """tau(G) packed under ``layout``, or tau(G; x, 0) when its D is 1: one
-    block stays packed and is shifted by x^bridges y^loops; several
-    multiply term by term."""
+    block stays packed, several multiply term by term, and the result is
+    shifted by x^bridges y^loops."""
     width, depth = layout
     pieces, bridges, loops = _split(g)
     if loops and depth == 1:
         return 0
     if len(pieces) > 1:
-        return _pack(_times(g, pieces, bridges, loops, memo, depth == 1), layout)
-    result = _tau_block(edge_subgraph(g, pieces[0]), memo, layout) if pieces else 1
+        result = _pack(_times(g, pieces, memo, depth == 1), layout)
+    else:
+        result = _tau_block(edge_subgraph(g, pieces[0]), memo, layout) if pieces else 1
     return result << width * (bridges * depth + loops)
 
 
@@ -330,14 +331,65 @@ def _series_path(g: MultiGraph, incident):
     return path
 
 
-def _tau_polynomial(g: MultiGraph, memo, y_zero: bool) -> Polynomial:
-    """tau(x, y), or tau(x, 0) when ``y_zero``: the blocks of g from the
-    packed recursion, multiplied term by term."""
-    pieces, bridges, loops = _split(g)
-    if loops and y_zero:
-        return Polynomial.zero(TUTTE_CLASSIC_VARS)
-    terms = _times(g, pieces, bridges, loops, memo, y_zero)
-    return Polynomial._trusted(TUTTE_CLASSIC_VARS, terms)
+def _horner(packed: int, row: int) -> int:
+    """p(x + 1) for p packed with one power of x per ``row`` bits (a
+    multiple of 8), by g <- g (x + 1) + p_i from the top row down; each p_i
+    is a slice of p's bytes, so no step shifts p itself."""
+    size = row // 8
+    data = packed.to_bytes(-(-packed.bit_length() // row) * size, "little")
+    shifted = 0
+    for at in range(len(data) - size, -1, -size):
+        shifted = (shifted << row) + shifted + int.from_bytes(data[at : at + size], "little")
+    return shifted
+
+
+def _transpose(packed: int, width: int, depth: int):
+    """A value packed under (width, depth) with x-rows and y-columns,
+    repacked with y-rows and x-columns, and its number of x-rows: one slice
+    of 64-bit words per column and word of a slot, as in ``_repack``."""
+    a = width // 64
+    rows = -(-packed.bit_length() // (width * depth))
+    words = array("Q", packed.to_bytes(8 * a * depth * rows, "little"))
+    out = array("Q", bytes(len(words) * 8))
+    for j in range(depth):
+        for t in range(a):
+            out[j * rows * a + t : (j + 1) * rows * a : a] = words[j * a + t :: a * depth]
+    return int.from_bytes(out, "little"), rows
+
+
+def _taylor_shift(terms: dict, width: int) -> dict:
+    """The term table of p(x + 1, y + 1) for p = ``terms``, packed once with
+    D = its y-degree + 1, which the shift keeps.  Every coefficient of p and
+    of the result must lie in 0 .. 2^width - 1; those of the steps between
+    are then at most those of the result."""
+    depth = 1 + max(j for _, j in terms)
+    packed = _horner(_pack(terms, (width, depth)), width * depth)
+    packed, rows = _transpose(packed, width, depth)
+    packed = _horner(packed, width * rows)
+    return {(i, j): c for (j, i), c in _unpack(packed, (width, rows)).items()}
+
+
+def _binomial_row(k: int, at: int) -> Polynomial:
+    """(1 + s)^k if ``at`` is 0, (1 + t)^k if it is 1, with each coefficient
+    from the one before as c (k - i) / (i + 1)."""
+    terms, c = {}, 1
+    for i in range(k + 1):
+        terms[(i, 0) if at == 0 else (0, i)] = c
+        c = c * (k - i) // (i + 1)
+    return Polynomial._trusted(TUTTE_SHIFTED_VARS, terms)
+
+
+def _shifted(g: MultiGraph, terms: dict, bridges: int, loops: int) -> Polynomial:
+    """tau(s + 1, t + 1) of g from the product ``terms`` of tau of its
+    blocks: the blocks are shifted packed, with the W of g's layout, and
+    x^bridges y^loops, which would only enlarge the Horner passes, enters
+    afterwards as (s + 1)^bridges (t + 1)^loops."""
+    width, _ = _layout(g, True)
+    shifted = Polynomial._trusted(TUTTE_SHIFTED_VARS, _taylor_shift(terms, width))
+    for at, k in ((0, bridges), (1, loops)):
+        if k:
+            shifted = shifted * _binomial_row(k, at)
+    return shifted
 
 
 def tutte_deletion_contraction(g: MultiGraph, *, cache=None) -> TuttePair:
@@ -353,11 +405,13 @@ def tutte_deletion_contraction(g: MultiGraph, *, cache=None) -> TuttePair:
     isolate a computation).
     """
     memo = _tutte_cache if cache is None else cache
-    classic = _tau_polynomial(g, memo, False)
-    shifted = binomial_substitute(
-        classic, {"x": (1, 1, "s"), "y": (1, 1, "t")}, TUTTE_SHIFTED_VARS
+    pieces, bridges, loops = _split(g)
+    terms = _times(g, pieces, memo, False)
+    classic = {(i + bridges, j + loops): c for (i, j), c in terms.items()}
+    return TuttePair(
+        classic=Polynomial._trusted(TUTTE_CLASSIC_VARS, classic),
+        shifted=_shifted(g, terms, bridges, loops),
     )
-    return TuttePair(classic=classic, shifted=shifted)
 
 
 # -- Negami by subset expansion (the reference oracle) -----------------------
@@ -493,14 +547,15 @@ def chromatic_deletion_contraction(g: MultiGraph, *, cache=None) -> Polynomial:
     tau(x, 0) from the Tutte recursion run on the line y = 0; any loop forces
     the zero polynomial.  ``cache`` overrides the shared session memo."""
     memo = _chromatic_cache if cache is None else cache
+    pieces, bridges, loops = _split(g)
+    if loops:
+        return Polynomial.zero(CHROMATIC_VARS)
     w = component_count(g)
-    on_line = _tau_polynomial(g, memo, True)
-    value = binomial_substitute(
-        on_line, {"x": (1, -1, "λ"), "y": (0, 0, None)}, CHROMATIC_VARS
-    )
     sign = -1 if (g.vertex_count - w) % 2 else 1
+    # tau(1 - λ, 0) is tau(x + 1, 0) at x = -λ
+    shifted = _shifted(g, _times(g, pieces, memo, True), bridges, 0).terms
     return Polynomial._trusted(
-        CHROMATIC_VARS, {(e + w,): sign * c for (e,), c in value.terms.items()}
+        CHROMATIC_VARS, {(i + w,): (-sign if i % 2 else sign) * c for (i, _), c in shifted.items()}
     )
 
 

@@ -434,62 +434,6 @@ def substitute(a: Polynomial, mapping: dict, variables=None) -> Polynomial:
     return result
 
 
-def binomial_substitute(a: Polynomial, images: dict, variables) -> Polynomial:
-    """Replace every variable v of ``a`` by c + d*w, ``images[v] = (c, d, w)``
-    with w one of the target ``variables`` (or None when d is 0).
-
-    Each power expands by the binomial theorem straight into the term table,
-    with no polynomial products; substitute() handles general images.
-    """
-    target = tuple(variables)
-    missing = [v for v in a.variables if v not in images]
-    if missing:
-        raise ValueError(f"no image for variables {missing}")
-    slots = []
-    for name in a.variables:
-        c, d, w = images[name]
-        if d and w not in target:
-            raise ValueError(f"image of {name!r} uses {w!r}, not one of {target}")
-        slots.append((c, d, target.index(w) if d else None))
-
-    expansions = {}
-
-    def expansion(i, e):
-        # (c + d*w)^e as [(power of w, coefficient)], zero coefficients dropped
-        key = (i, e)
-        cached = expansions.get(key)
-        if cached is None:
-            c, d, _ = slots[i]
-            cached = []
-            binom = 1
-            for j in range(e + 1):
-                coeff = binom * c ** (e - j) * d**j
-                if coeff:
-                    cached.append((j, coeff))
-                binom = binom * (e - j) // (j + 1)
-            expansions[key] = cached
-        return cached
-
-    zero = (0,) * len(target)
-    table = {}
-    for exps, coeff in a.terms.items():
-        partial = [(zero, coeff)]
-        for i, e in enumerate(exps):
-            if not e:
-                continue
-            slot = slots[i][2]
-            grown = []
-            for j, factor in expansion(i, e):
-                for out_exps, acc in partial:
-                    if j:
-                        out_exps = out_exps[:slot] + (out_exps[slot] + j,) + out_exps[slot + 1 :]
-                    grown.append((out_exps, acc * factor))
-            partial = grown
-        for out_exps, acc in partial:
-            table[out_exps] = table.get(out_exps, 0) + acc
-    return Polynomial._trusted(target, {e: c for e, c in table.items() if c})
-
-
 def divide_exact_monomial(a: Polynomial, monomial: dict) -> Polynomial:
     """Exact quotient of ``a`` by a monomial given as {variable: exponent}.
 

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphperiod import invariants
 from graphperiod.families import loop_parallel_variants, random_multigraph
@@ -74,13 +78,62 @@ def test_tutte_triangle():
 
 
 def test_shifted_is_substituted_classic():
-    for g in (named_graph("cycle", 5), named_graph("complete", 4), LOOP):
-        pair = tutte_deletion_contraction(g)
-        s1 = parse_polynomial("s + 1", TUTTE_SHIFTED_VARS)
-        t1 = parse_polynomial("t + 1", TUTTE_SHIFTED_VARS)
+    # the random multigraphs have loops, bridges, parallel classes, several
+    # components or no edges; q <= 14 keeps the subset expansion small
+    s1 = parse_polynomial("s + 1", TUTTE_SHIFTED_VARS)
+    t1 = parse_polynomial("t + 1", TUTTE_SHIFTED_VARS)
+    rng = random.Random(20261019)
+    graphs = [named_graph("cycle", 5), named_graph("complete", 4), LOOP]
+    graphs += [random_multigraph(rng, max_vertices=8, max_edges=14) for _ in range(300)]
+    for g in graphs:
+        pair = tutte_deletion_contraction(g, cache={})
         assert pair.shifted == substitute(
             pair.classic, {"x": s1, "y": t1}, TUTTE_SHIFTED_VARS
+        ), g
+        assert chromatic_deletion_contraction(g, cache={}) == chromatic_from_negami(
+            negami_subset_expansion(g)
+        ), g
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([64, 128]).flatmap(
+        lambda width: st.tuples(
+            st.just(width),
+            # at most 8 terms of degree <= 12 keep every shifted
+            # coefficient below 2^width
+            st.dictionaries(
+                st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                st.integers(1, 2 ** (width - 24)),
+                min_size=1,
+                max_size=8,
+            ),
         )
+    )
+)
+def test_taylor_shift_matches_substitute(case):
+    width, terms = case
+    p = Polynomial(TUTTE_CLASSIC_VARS, terms)
+    expected = substitute(p, {"x": classic("x + 1"), "y": classic("y + 1")})
+    assert Polynomial(TUTTE_CLASSIC_VARS, invariants._taylor_shift(terms, width)) == expected
+
+
+def test_shift_of_a_block_with_bridges_and_loops():
+    # petersen with a 70-edge pendant path and 3 loops has q = 88, so the
+    # shift packs 128-bit slots; bridges and loops enter as binomial rows
+    petersen = named_graph("petersen")
+    path = [0] + list(range(10, 80))
+    loops = ((79, 79), (5, 5), (40, 40))
+    g = MultiGraph(80, petersen.endpoints + tuple(zip(path, path[1:])) + loops)
+    assert g.edge_count == 88
+    pair = tutte_deletion_contraction(g, cache={})
+    assert pair.classic == tutte_deletion_contraction(petersen, cache={}).classic * (
+        Polynomial.monomial(TUTTE_CLASSIC_VARS, (70, 3))
+    )
+    s1 = parse_polynomial("s + 1", TUTTE_SHIFTED_VARS)
+    t1 = parse_polynomial("t + 1", TUTTE_SHIFTED_VARS)
+    assert pair.shifted == substitute(pair.classic, {"x": s1, "y": t1}, TUTTE_SHIFTED_VARS)
+    assert chromatic_deletion_contraction(g, cache={}) == 0
 
 
 def test_edge_order_independence(monkeypatch):
@@ -266,6 +319,7 @@ def test_trusted_results_pass_the_public_checks():
 
 def test_chromatic_edgeless():
     assert chromatic_deletion_contraction(MultiGraph(3)) == lam("λ^3")
+    assert chromatic_deletion_contraction(MultiGraph(0)) == 1
 
 
 def test_chromatic_k2():
@@ -422,6 +476,25 @@ def test_long_path_and_cycle():
     assert tutte_deletion_contraction(named_graph("cycle", 1000), cache={}).classic == (
         x_series(1000) - 1 + classic("y")
     )
+
+
+def test_shifts_of_a_long_path_and_cycle():
+    shifted = tutte_deletion_contraction(named_graph("path", 2000), cache={}).shifted
+    assert shifted == Polynomial(
+        TUTTE_SHIFTED_VARS, {(i, 0): math.comb(1999, i) for i in range(2000)}
+    )
+    tracemalloc.start()
+    try:
+        chromatic = chromatic_deletion_contraction(named_graph("cycle", 1000), cache={})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # (λ - 1)^1000 + (λ - 1)
+    expected = {(i,): (-1) ** (1000 - i) * math.comb(1000, i) for i in range(1001)}
+    expected[(1,)] += 1
+    expected[(0,)] -= 1
+    assert chromatic == Polynomial(CHROMATIC_VARS, expected)
+    assert peak < 5_000_000
 
 
 def test_chromatic_of_a_long_fan():

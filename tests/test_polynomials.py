@@ -11,7 +11,6 @@ from graphperiod.polynomials import (
     NonDivisibleTermError,
     Polynomial,
     VariableMismatchError,
-    binomial_substitute,
     divide_exact_monomial,
     is_prime,
     parse_polynomial,
@@ -182,40 +181,6 @@ def test_substitute_cancellation():
 def test_substitute_self_is_identity():
     a = P("3*x^2*y + x - 7")
     assert substitute(a, {"x": Polynomial.variable(XY, "x")}) == a
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.dictionaries(
-        st.tuples(st.integers(0, 6), st.integers(0, 6)), st.integers(-9, 9), max_size=8
-    ),
-    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
-)
-def test_binomial_substitute_matches_substitute(terms, shifts):
-    # x -> c + d*s, y -> e + f*t; with d = 0 (or f = 0) the image is a constant
-    a = Polynomial(XY, terms)
-    c, d, e, f = shifts
-
-    def image(const, scale, name):
-        return Polynomial.constant(ST, const) + scale * Polynomial.variable(ST, name)
-
-    expected = substitute(a, {"x": image(c, d, "s"), "y": image(e, f, "t")}, ST)
-    images = {"x": (c, d, "s" if d else None), "y": (e, f, "t")}
-    assert binomial_substitute(a, images, ST) == expected
-
-
-def test_binomial_substitute_onto_one_variable():
-    # tau(1 - λ, 0) for tau = x^2 + x: (1-λ)^2 + (1-λ)
-    lam = ("λ",)
-    out = binomial_substitute(P("x^2 + x"), {"x": (1, -1, "λ"), "y": (0, 0, None)}, lam)
-    assert out == parse_polynomial("2 - 3*λ + λ^2", lam)
-    assert binomial_substitute(P("x*y"), {"x": (1, -1, "λ"), "y": (0, 0, None)}, lam) == 0
-
-
-def test_binomial_substitute_drops_cancelled_terms():
-    # x, y -> 1 + s: the s^2 of x^2 and of -y^2 cancel
-    out = binomial_substitute(P("x^2 - y^2 + x"), {"x": (1, 1, "s"), "y": (1, 1, "s")}, ST)
-    assert out.terms == {(0, 0): 1, (1, 0): 1}
 
 
 # -- exact monomial division --------------------------------------------------
