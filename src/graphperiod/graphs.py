@@ -1,10 +1,15 @@
-"""Finite multigraphs (loops and parallel edges allowed) and the structural
-operations that deletion-contraction invariants consume.
+"""Finite multigraphs (loops and parallel edges allowed), their adjacency
+maps, and the structural operations that deletion-contraction invariants
+consume.
 
 Vertices are dense ints 0..vertex_count-1; edges are dense ints identified by
 their position in ``endpoints``.  Parallel edges are distinct edge ids sharing
-an endpoint pair; a loop has both endpoints equal.  All operations return new
-graphs; MultiGraph values are immutable and hashable.
+an endpoint pair; a loop has both endpoints equal.  MultiGraph values are
+immutable and hashable.
+
+The deletion-contraction recursion reads a graph as an adjacency map (see
+below); the block split, the deletion and contraction of whole parallel
+classes and a block's canonical key work on the map.
 """
 
 from __future__ import annotations
@@ -201,48 +206,10 @@ def named_graph(name: str, *params: int) -> MultiGraph:
 # -- structural operations ------------------------------------------------
 
 
-def _check_edge(g: MultiGraph, e: int):
-    if not (0 <= e < g.edge_count):
-        raise ValueError(f"edge index {e} out of range for {g.edge_count} edges")
-
-
-def delete_edges(g: MultiGraph, edge_ids) -> MultiGraph:
-    drop = set(edge_ids)
-    for e in drop:
-        _check_edge(g, e)
-    kept = tuple(pair for i, pair in enumerate(g.endpoints) if i not in drop)
-    return _trusted(g.vertex_count, kept)
-
-
-def contract_edges(g: MultiGraph, edge_ids) -> MultiGraph:
-    """Identify endpoints within each connected chunk of the selected edges
-    (which must contain no loops), dropping the selected edges; edges
-    parallel to a selected one become loops."""
-    selected = sorted(set(edge_ids))
-    labels = _component_labels(g, selected)
-    for e in selected:
-        a, b = g.endpoints[e]
-        if a == b:
-            raise ValueError(f"cannot contract loop edge {e}")
-
-    # each label is its class's smallest member, so ordering classes by
-    # label keeps indices stable
-    roots = sorted(set(labels))
-    new_id = {root: i for i, root in enumerate(roots)}
-    drop = set(selected)
-    kept = []
-    for i, (u, v) in enumerate(g.endpoints):
-        if i not in drop:
-            # relabelling can reverse a pair: u's class may have the larger label
-            a, b = new_id[labels[u]], new_id[labels[v]]
-            kept.append((a, b) if a <= b else (b, a))
-    return _trusted(len(roots), tuple(kept))
-
-
-def _component_labels(g: MultiGraph, edge_ids=None):
-    """The smallest vertex of each vertex's component of (V, edge_ids), all
-    edges when edge_ids is None."""
-    parent = list(range(g.vertex_count))
+def _component_labels(vertex_count: int, pairs):
+    """The smallest vertex of each vertex's component of the graph on
+    0..vertex_count-1 with the edges ``pairs``."""
+    parent = list(range(vertex_count))
 
     def find(x):
         while parent[x] != x:
@@ -250,22 +217,15 @@ def _component_labels(g: MultiGraph, edge_ids=None):
             x = parent[x]
         return x
 
-    if edge_ids is None:
-        pairs = g.endpoints
-    else:
-        pairs = []
-        for e in edge_ids:
-            _check_edge(g, e)
-            pairs.append(g.endpoints[e])
     for u, v in pairs:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
-    return [find(v) for v in range(g.vertex_count)]
+    return [find(v) for v in range(vertex_count)]
 
 
 def component_count(g: MultiGraph) -> int:
-    return len(set(_component_labels(g)))
+    return len(set(_component_labels(g.vertex_count, g.endpoints)))
 
 
 def is_connected(g: MultiGraph) -> bool:
@@ -275,7 +235,7 @@ def is_connected(g: MultiGraph) -> bool:
 def component_subgraphs(g: MultiGraph):
     """Split into connected components, vertices and edges keeping their
     relative order.  Returns a list of MultiGraphs."""
-    labels = _component_labels(g)
+    labels = _component_labels(g.vertex_count, g.endpoints)
     roots = sorted(set(labels))
     if len(roots) == 1:
         return [g]
@@ -291,80 +251,6 @@ def component_subgraphs(g: MultiGraph):
         )
         pieces.append(_trusted(len(vmap), edges))
     return pieces
-
-
-def blocks(g: MultiGraph):
-    """Edge ids of every block (maximal 2-connected piece), each sorted, the
-    list ordered by smallest edge id.
-
-    A loop is a block of its own, so is a bridge; parallel edges share a
-    block.  Isolated vertices are in no block.  Iterative lowlink DFS with an
-    edge stack that refuses to walk back along the tree edge id, so parallel
-    edges count as back edges.
-    """
-    n = g.vertex_count
-    adj = [[] for _ in range(n)]
-    out = []
-    for eid, (u, v) in enumerate(g.endpoints):
-        if u == v:
-            out.append([eid])
-        else:
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
-    disc = [-1] * n
-    low = [0] * n
-    edge_stack = []
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            v, in_edge, it = stack[-1]
-            # resume v's neighbours; a tree edge breaks out to descend
-            for w, eid in it:
-                if eid == in_edge:
-                    continue
-                if disc[w] == -1:
-                    edge_stack.append(eid)
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, eid, iter(adj[w])))
-                    break
-                if disc[w] < disc[v]:
-                    # back edge to an ancestor, pushed once from the lower end
-                    edge_stack.append(eid)
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            else:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    if low[v] < low[pv]:
-                        low[pv] = low[v]
-                    if low[v] >= disc[pv]:
-                        # pv separates v's subtree: its edges form one block
-                        block = []
-                        while True:
-                            e = edge_stack.pop()
-                            block.append(e)
-                            if e == in_edge:
-                                break
-                        block.sort()
-                        out.append(block)
-    out.sort()
-    return out
-
-
-def edge_subgraph(g: MultiGraph, edge_ids) -> MultiGraph:
-    """The listed edges, in the given order, on the vertices they touch;
-    those vertices keep their relative order."""
-    pairs = [g.endpoints[e] for e in edge_ids]
-    touched = sorted({v for pair in pairs for v in pair})
-    new_id = {v: i for i, v in enumerate(touched)}
-    return _trusted(len(touched), tuple((new_id[u], new_id[v]) for u, v in pairs))
 
 
 def relabel(g: MultiGraph, vertex_perm, edge_perm=None) -> MultiGraph:
@@ -383,6 +269,131 @@ def relabel(g: MultiGraph, vertex_perm, edge_perm=None) -> MultiGraph:
     for e, (u, v) in enumerate(g.endpoints):
         new_endpoints[ep[e]] = (vp[u], vp[v])
     return MultiGraph(g.vertex_count, tuple(new_endpoints))
+
+
+# -- adjacency maps --------------------------------------------------------
+#
+# The deletion-contraction recursion, the canonical form and the automorphism
+# search read a graph as its loop counts and one loopless adjacency map:
+# adj[v] is {neighbour: multiplicity} for the vertices 0..len(adj)-1, so a
+# parallel class is one entry in each of its two rows.  A map and its rows
+# are never changed once built; a minor shares the rows it leaves alone.
+
+
+def _adjacency(g: MultiGraph):
+    """(loops, adj): the loop count at each vertex, and for each vertex a
+    dict from every other neighbour to the number of edges joining them."""
+    n = g.vertex_count
+    loops = [0] * n
+    adj = [dict() for _ in range(n)]
+    for u, v in g.endpoints:
+        if u == v:
+            loops[u] += 1
+        else:
+            adj[u][v] = adj[u].get(v, 0) + 1
+            adj[v][u] = adj[v].get(u, 0) + 1
+    return loops, adj
+
+
+def blocks(adj):
+    """The vertices of each block (maximal 2-connected piece) of a map, each
+    list sorted, the blocks in the order an iterative lowlink DFS over
+    neighbour keys closes them.
+
+    Two blocks share at most one vertex, so a block's edges are all those
+    among its vertices: a parallel class lies in one block, a bridge is a
+    two-vertex block of multiplicity 1, and vertices without neighbours are
+    in no block.
+    """
+    n = len(adj)
+    disc = [-1] * n
+    low = [0] * n
+    out = []
+    timer = 0
+    for root in range(n):
+        if disc[root] != -1 or not adj[root]:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        # visited vertices not yet closed into a block, in discovery order
+        open_vertices = [root]
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            v, it = stack[-1]
+            # resume v's neighbours; a tree edge breaks out to descend
+            for w in it:
+                if disc[w] == -1:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    open_vertices.append(w)
+                    stack.append((w, iter(adj[w])))
+                    break
+                # the parent lowers low[v] only to disc of the parent, which
+                # the block test below allows, so it needs no exception
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if stack:
+                    pv = stack[-1][0]
+                    if low[v] < low[pv]:
+                        low[pv] = low[v]
+                    if low[v] >= disc[pv]:
+                        # pv separates v's subtree: they form one block
+                        block = [pv]
+                        while True:
+                            x = open_vertices.pop()
+                            block.append(x)
+                            if x == v:
+                                break
+                        block.sort()
+                        out.append(block)
+    return out
+
+
+def submap(adj, vertices):
+    """The map induced on the sorted ``vertices``, renumbered 0.. in their
+    order: the map of a block given its vertices."""
+    if len(vertices) == len(adj):
+        return adj
+    index = {v: i for i, v in enumerate(vertices)}
+    return [{index[w]: m for w, m in adj[v].items() if w in index} for v in vertices]
+
+
+def delete_edges(adj, pairs):
+    """The map without the parallel class of each vertex pair in ``pairs``;
+    a vertex left without neighbours stays, isolated."""
+    out = list(adj)
+    for v in {v for pair in pairs for v in pair}:
+        out[v] = dict(adj[v])
+    for u, v in pairs:
+        del out[u][v], out[v][u]
+    return out
+
+
+def contract_edges(adj, pairs):
+    """(map, loops) after contracting the parallel class of each vertex pair
+    in ``pairs``: each connected chunk of the pairs becomes its smallest
+    vertex, and the others stay, isolated.  The listed classes vanish; the
+    other edges among the vertices of a chunk are the ``loops``."""
+    labels = _component_labels(len(adj), pairs)
+    merged = {v for pair in pairs for v in pair}
+    # the rows that change: the merged vertices and their neighbours
+    touched = merged.union(*(adj[v] for v in merged))
+    out = list(adj)
+    for v in touched:
+        out[v] = {}
+    loops = 0
+    for v in touched:
+        a = labels[v]
+        row = out[a]
+        for w, m in adj[v].items():
+            b = labels[w]
+            if b != a:
+                row[b] = row.get(b, 0) + m
+            elif v < w:
+                loops += m
+    return out, loops - sum(adj[u][v] for u, v in pairs)
 
 
 # -- exact canonical form -------------------------------------------------
@@ -433,24 +444,10 @@ def _refine(n, adj, loops, colors):
         ncolors = new_count
 
 
-def _adjacency(g: MultiGraph):
-    """(loops, adj): the loop count at each vertex, and for each vertex a
-    dict from every other neighbour to the number of edges joining them."""
-    n = g.vertex_count
-    loops = [0] * n
-    adj = [dict() for _ in range(n)]
-    for u, v in g.endpoints:
-        if u == v:
-            loops[u] += 1
-        else:
-            adj[u][v] = adj[u].get(v, 0) + 1
-            adj[v][u] = adj[v].get(u, 0) + 1
-    return loops, adj
-
-
-def _component_encoding(g: MultiGraph):
-    n = g.vertex_count
-    loops, adj = _adjacency(g)
+def _component_encoding(loops, adj):
+    """The minimum leaf encoding of a connected graph given as its loop
+    counts and adjacency map."""
+    n = len(adj)
     best = best_path = best_order = None
     # vertex maps found between leaves with equal encodings: automorphisms
     automorphisms = []
@@ -560,5 +557,13 @@ def _closure(points, maps):
 def canonical_key(g: MultiGraph) -> bytes:
     """Exact canonical form: equal for isomorphic multigraphs, distinct
     otherwise.  Safe as a memoization key."""
-    encodings = sorted(_component_encoding(c) for c in component_subgraphs(g))
+    encodings = sorted(
+        _component_encoding(*_adjacency(c)) for c in component_subgraphs(g)
+    )
     return repr(encodings).encode()
+
+
+def block_key(adj) -> bytes:
+    """canonical_key of the connected, loopless graph of a map, read off the
+    map: no component split and no second adjacency build."""
+    return repr([_component_encoding([0] * len(adj), adj)]).encode()

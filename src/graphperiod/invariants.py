@@ -8,6 +8,10 @@ Three invariants of a multigraph G with r vertices, q edges and w components:
   vertices, loops (y) and bridges (x) are one split; two-vertex blocks,
   cycles and maximal series paths have closed forms; only what remains is
   memoized on the exact canonical form and split on a whole parallel class.
+  The recursion reads each graph as one adjacency map,
+  vertex -> {neighbour: multiplicity} (``graphs._adjacency``, built once
+  per call), so a parallel class is one entry, and splits, deletes and
+  contracts whole classes on the map.
   The shifted form T(s, t) = tau(s+1, t+1) is a Taylor shift of the
   blocks' packed product by Horner's rule, in x and, after a transpose, in
   y (von zur Gathen & Gerhard, ISSAC 1997), in slots of the whole graph's
@@ -53,12 +57,16 @@ from dataclasses import dataclass
 
 from .graphs import (
     MultiGraph,
+    _adjacency,
+    block_key,
     blocks,
+    # not called here: the benchmark's tracer (perfbench/spans.py) wraps
+    # this module's canonical_key, so the name stays importable from it
     canonical_key,
     component_count,
     contract_edges,
     delete_edges,
-    edge_subgraph,
+    submap,
 )
 from .polynomials import Polynomial, divide_exact_monomial, substitute
 
@@ -121,22 +129,22 @@ def clear_caches():
     _chromatic_cache.clear()
 
 
-def _layout(g: MultiGraph, y_zero: bool):
-    """The packing (W, D) of the block g: c x^i y^j is c in the W-bit slot at
-    bit W*(i*D + j).
+def _layout(vertices: int, edges: int, y_zero: bool):
+    """The packing (W, D) of a block with q = ``edges`` edges and r =
+    ``vertices`` vertices: c x^i y^j is c in the W-bit slot at bit
+    W*(i*D + j).
 
     W is q + 1 rounded up to a multiple of 64, so a slot holds
-    2^q >= T(1, 1) of g and of every minor of g, in whole 64-bit words.  D
-    is 1 on the line y = 0; otherwise it exceeds the nullity q - r + 1, and
-    is at least 16 below 64 edges, so that small blocks (all those of
-    simple graphs on at most 7 vertices) share one layout and pass values
-    between them unchanged.
+    2^q >= T(1, 1) of the block and of every minor of it, in whole 64-bit
+    words.  D is 1 on the line y = 0; otherwise it exceeds the nullity
+    q - r + 1, and is at least 16 below 64 edges, so that small blocks (all
+    those of simple graphs on at most 7 vertices) share one layout and pass
+    values between them unchanged.
     """
-    q = g.edge_count
-    width = (q // 64 + 1) * 64
+    width = (edges // 64 + 1) * 64
     if y_zero:
         return width, 1
-    return width, max(q - g.vertex_count + 2, 16 if q < 64 else 1)
+    return width, max(edges - vertices + 2, 16 if edges < 64 else 1)
 
 
 def _ones(k: int, step: int) -> int:
@@ -193,141 +201,122 @@ def _repack(packed: int, source, target) -> int:
     return int.from_bytes(out, "little")
 
 
-def _default_chooser(g: MultiGraph) -> int:
-    """An edge at vertex 0, where earlier contractions merged, in its largest
-    parallel class; ties go to the other endpoint of larger degree, then to
-    the smallest id.  g is a block with no series path when this runs."""
-    degree = [0] * g.vertex_count
-    multiplicity: dict = {}
-    for pair in g.endpoints:
-        degree[pair[0]] += 1
-        degree[pair[1]] += 1
-        multiplicity[pair] = multiplicity.get(pair, 0) + 1
-    best, best_score = 0, None
-    for e, pair in enumerate(g.endpoints):
-        if pair[0] == 0:
-            score = (multiplicity[pair], degree[pair[1]])
-            if best_score is None or score > best_score:
-                best, best_score = e, score
-    return best
+def _default_chooser(adj) -> int:
+    """A neighbour of vertex 0, where earlier contractions merged, in its
+    largest parallel class; ties go to the neighbour of larger degree, then
+    to the smallest.  adj is a block with no series path when this runs."""
+    row = adj[0]
+    return max(sorted(row), key=lambda w: (row[w], sum(adj[w].values())))
 
 
-def _split(g: MultiGraph):
-    """The edge ids of each block of g with two or more edges, and g's
-    numbers of bridges and loops."""
-    loops = bridges = 0
+def _split(adj):
+    """The maps of the blocks of adj with two or more edges, and adj's
+    number of bridges."""
+    bridges = 0
     pieces = []
-    for block in blocks(g):
-        if len(block) > 1:
-            pieces.append(block)
-        elif g.endpoints[block[0]][0] == g.endpoints[block[0]][1]:
-            loops += 1
-        else:
+    for block in blocks(adj):
+        if len(block) == 2 and adj[block[0]][block[1]] == 1:
             bridges += 1
-    return pieces, bridges, loops
+        else:
+            pieces.append(submap(adj, block))
+    return pieces, bridges
 
 
-def _times(g: MultiGraph, pieces, memo, y_zero: bool) -> dict:
-    """The product of tau of each block of g in ``pieces``, as a
-    term table.  Each block is packed under its own layout, but the product
-    is taken term by term: k blocks fill a share of their joint
+def _times(pieces, memo, y_zero: bool) -> dict:
+    """The product of tau of the block maps ``pieces``, as a term table.
+    Each block is packed under its own layout, but the product is taken
+    term by term: k blocks fill a share of their joint
     (rank+1) x (nullity+1) box that shrinks with k ((x + y)^k has k + 1
     terms in (k + 1)^2 slots), so a packed product would cost the box, not
     the terms."""
     product = Polynomial.constant(TUTTE_CLASSIC_VARS, 1)
-    for block in pieces:
-        h = edge_subgraph(g, block)
-        layout = _layout(h, y_zero)
+    for h in pieces:
+        layout = _layout(len(h), sum(sum(row.values()) for row in h) // 2, y_zero)
         tau = _unpack(_tau_block(h, memo, layout), layout)
         product = product * Polynomial._trusted(TUTTE_CLASSIC_VARS, tau)
     return product.terms
 
 
-def _tau(g: MultiGraph, memo, layout) -> int:
-    """tau(G) packed under ``layout``, or tau(G; x, 0) when its D is 1: one
-    block stays packed, several multiply term by term, and the result is
-    shifted by x^bridges y^loops."""
+def _tau(adj, loops: int, memo, layout) -> int:
+    """tau of the map adj with ``loops`` loops, packed under ``layout``, or
+    tau(G; x, 0) when its D is 1: one block stays packed, several multiply
+    term by term, and the result is shifted by x^bridges y^loops."""
     width, depth = layout
-    pieces, bridges, loops = _split(g)
     if loops and depth == 1:
         return 0
+    pieces, bridges = _split(adj)
     if len(pieces) > 1:
-        result = _pack(_times(g, pieces, memo, depth == 1), layout)
+        result = _pack(_times(pieces, memo, depth == 1), layout)
     else:
-        result = _tau_block(edge_subgraph(g, pieces[0]), memo, layout) if pieces else 1
+        result = _tau_block(pieces[0], memo, layout) if pieces else 1
     return result << width * (bridges * depth + loops)
 
 
-def _tau_block(g: MultiGraph, memo, layout) -> int:
-    """Packed tau, under ``layout``, of a loopless 2-connected block with at
-    least two edges.  The closed forms are written in ``layout``; a series
-    path and a split run under the block's own layout, which its minors
-    share, and the result moves into ``layout`` once."""
+def _tau_block(adj, memo, layout) -> int:
+    """Packed tau, under ``layout``, of the map of a 2-connected block with
+    at least two edges.  The closed forms are written in ``layout``; a
+    series path and a split run under the block's own layout, which its
+    minors share, and the result moves into ``layout`` once."""
     width, depth = layout
     y_zero = depth == 1
     x = 1 << width * depth
-    if g.vertex_count == 2:
+    n = len(adj)
+    if n == 2:
         # k parallel edges: x + y + ... + y^(k-1), which is x on y = 0
-        return x if y_zero else x - 1 + _ones(g.edge_count, width)
+        return x if y_zero else x - 1 + _ones(adj[0][1], width)
     if y_zero:
         # on y = 0 a parallel class is worth one edge
-        seen = set()
-        dupes = [e for e, pair in enumerate(g.endpoints) if pair in seen or seen.add(pair)]
-        if dupes:
-            g = delete_edges(g, dupes)
-
-    incident = [[] for _ in range(g.vertex_count)]
-    for e, (u, v) in enumerate(g.endpoints):
-        incident[u].append(e)
-        incident[v].append(e)
-    if all(len(inc) == 2 for inc in incident):
-        # cycle of k edges: x + ... + x^(k-1) + y
-        cycle = _ones(g.edge_count, width * depth) - 1
+        adj = [dict.fromkeys(row, 1) for row in adj]
+    degree = [sum(row.values()) for row in adj]
+    q = sum(degree) // 2
+    if q == n:
+        # a 2-connected block with as many edges as vertices is a cycle:
+        # x + ... + x^(q-1) + y
+        cycle = _ones(q, width * depth) - 1
         return cycle if y_zero else cycle + (1 << width)
 
-    own = _layout(g, y_zero)
-    path = _series_path(g, incident)
+    own = _layout(n, q, y_zero)
+    path = _series_path(adj, degree)
     if path:
-        # T = (1 + x + ... + x^(k-1)) T(G - P) + T(G / P)
-        rest = _tau(delete_edges(g, path), memo, own)
-        joined = _tau(contract_edges(g, path), memo, own)
+        # T = (1 + x + ... + x^(k-1)) T(G - P) + T(G / P); edges joining
+        # the ends of P directly are loops of G / P
+        rest = _tau(delete_edges(adj, path), 0, memo, own)
+        joined = _tau(*contract_edges(adj, path), memo, own)
         return _repack(_ones(len(path), own[0] * own[1]) * rest + joined, own, layout)
 
     # the memo holds each block under its own layout, so an entry is the
     # size of its block and serves every graph that has the block; the
     # layout in the key keeps the two lines apart
-    key = (own, canonical_key(g))
+    key = (own, block_key(adj))
     cached = memo.get(key)
     if cached is None:
-        u, v = g.endpoints[_default_chooser(g)]
-        parallel = [e for e, pair in enumerate(g.endpoints) if pair == (u, v)]
-        # T = T(G - E) + (1 + y + ... + y^(k-1)) T(G / E) for the class E of
-        # e (k = 1 on y = 0)
-        cached = _tau(delete_edges(g, parallel), memo, own) + _ones(
-            len(parallel), own[0]
-        ) * _tau(contract_edges(g, parallel), memo, own)
+        w = _default_chooser(adj)
+        parallel = [(0, w)]
+        # T = T(G - E) + (1 + y + ... + y^(k-1)) T(G / E) for the class E
+        # of k edges (k = 1 on y = 0)
+        cached = _tau(delete_edges(adj, parallel), 0, memo, own) + _ones(
+            adj[0][w], own[0]
+        ) * _tau(*contract_edges(adj, parallel), memo, own)
         memo[key] = cached
     return _repack(cached, own, layout)
 
 
-def _series_path(g: MultiGraph, incident):
-    """Edge ids of a maximal path through degree-2 vertices, or [] if no
-    vertex has degree 2.  In a 2-connected block that is not a cycle the
-    path runs between two distinct vertices of degree at least 3."""
-    start = next((v for v, inc in enumerate(incident) if len(inc) == 2), None)
+def _series_path(adj, degree):
+    """The vertex pairs of a maximal path through degree-2 vertices, or []
+    if no vertex has degree 2.  In a 2-connected block that is not a cycle
+    the path runs between two distinct vertices of degree at least 3, and
+    each of its classes is one edge."""
+    start = next((v for v, d in enumerate(degree) if d == 2), None)
     if start is None:
         return []
     path = []
-    for first in incident[start]:
-        prev, e = start, first
-        while True:
-            path.append(e)
-            u, v = g.endpoints[e]
-            nxt = v if u == prev else u
-            if len(incident[nxt]) != 2:
-                break
-            a, b = incident[nxt]
-            prev, e = nxt, (b if a == e else a)
+    for first in adj[start]:
+        prev, v = start, first
+        path.append((prev, v))
+        while degree[v] == 2:
+            a, b = adj[v]
+            prev, v = v, (b if a == prev else a)
+            path.append((prev, v))
     return path
 
 
@@ -384,7 +373,7 @@ def _shifted(g: MultiGraph, terms: dict, bridges: int, loops: int) -> Polynomial
     blocks: the blocks are shifted packed, with the W of g's layout, and
     x^bridges y^loops, which would only enlarge the Horner passes, enters
     afterwards as (s + 1)^bridges (t + 1)^loops."""
-    width, _ = _layout(g, True)
+    width, _ = _layout(g.vertex_count, g.edge_count, True)
     shifted = Polynomial._trusted(TUTTE_SHIFTED_VARS, _taylor_shift(terms, width))
     for at, k in ((0, bridges), (1, loops)):
         if k:
@@ -405,8 +394,10 @@ def tutte_deletion_contraction(g: MultiGraph, *, cache=None) -> TuttePair:
     isolate a computation).
     """
     memo = _tutte_cache if cache is None else cache
-    pieces, bridges, loops = _split(g)
-    terms = _times(g, pieces, memo, False)
+    loops, adj = _adjacency(g)
+    loops = sum(loops)
+    pieces, bridges = _split(adj)
+    terms = _times(pieces, memo, False)
     classic = {(i + bridges, j + loops): c for (i, j), c in terms.items()}
     return TuttePair(
         classic=Polynomial._trusted(TUTTE_CLASSIC_VARS, classic),
@@ -547,13 +538,14 @@ def chromatic_deletion_contraction(g: MultiGraph, *, cache=None) -> Polynomial:
     tau(x, 0) from the Tutte recursion run on the line y = 0; any loop forces
     the zero polynomial.  ``cache`` overrides the shared session memo."""
     memo = _chromatic_cache if cache is None else cache
-    pieces, bridges, loops = _split(g)
-    if loops:
+    loops, adj = _adjacency(g)
+    if any(loops):
         return Polynomial.zero(CHROMATIC_VARS)
+    pieces, bridges = _split(adj)
     w = component_count(g)
     sign = -1 if (g.vertex_count - w) % 2 else 1
     # tau(1 - λ, 0) is tau(x + 1, 0) at x = -λ
-    shifted = _shifted(g, _times(g, pieces, memo, True), bridges, 0).terms
+    shifted = _shifted(g, _times(pieces, memo, True), bridges, 0).terms
     return Polynomial._trusted(
         CHROMATIC_VARS, {(i + w,): (-sign if i % 2 else sign) * c for (i, _), c in shifted.items()}
     )

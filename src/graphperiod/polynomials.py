@@ -138,15 +138,6 @@ class Polynomial:
     def coefficient(self, exps) -> int:
         return self.terms.get(tuple(exps), 0)
 
-    def degree(self, name=None) -> int:
-        """Largest exponent of ``name`` (total degree if None); -1 for zero."""
-        if not self.terms:
-            return -1
-        if name is None:
-            return max(sum(e) for e in self.terms)
-        i = self.variables.index(name)
-        return max(e[i] for e in self.terms)
-
     def evaluate(self, values: dict) -> int:
         missing = [v for v in self.variables if v not in values]
         if missing:

@@ -14,8 +14,6 @@ from graphperiod.graphs import (
     canonical_key,
     component_count,
     component_subgraphs,
-    contract_edges,
-    delete_edges,
     named_graph,
 )
 from graphperiod.families import (
@@ -42,6 +40,54 @@ def cycle_rotation(p: int):
     return g, automorphism_from_vertex_perm(g, vp)
 
 
+def _check_edge_id(g: MultiGraph, e: int):
+    if not (0 <= e < g.edge_count):
+        raise ValueError(f"edge index {e} out of range for {g.edge_count} edges")
+
+
+def delete_edge_ids(g: MultiGraph, edge_ids) -> MultiGraph:
+    """Deletion by edge ids, the route that the oracles and the
+    deletion-contraction identities use, independent of the adjacency maps
+    of the recursion: g without the listed edges, on the same vertices."""
+    drop = set(edge_ids)
+    for e in drop:
+        _check_edge_id(g, e)
+    kept = tuple(pair for i, pair in enumerate(g.endpoints) if i not in drop)
+    return MultiGraph(g.vertex_count, kept)
+
+
+def contract_edge_ids(g: MultiGraph, edge_ids) -> MultiGraph:
+    """Contraction by edge ids, independent of the adjacency maps: the
+    endpoints within each connected chunk of the listed edges (no loops
+    among them) become one vertex, the chunks numbered in the order of their
+    smallest vertices, and the listed edges vanish; edges parallel to a
+    listed one become loops."""
+    selected = set(edge_ids)
+    for e in selected:
+        _check_edge_id(g, e)
+        if g.endpoints[e][0] == g.endpoints[e][1]:
+            raise ValueError(f"cannot contract loop edge {e}")
+    # each vertex takes the smallest label along the listed edges, repeated
+    # until nothing changes
+    label = list(range(g.vertex_count))
+    changed = True
+    while changed:
+        changed = False
+        for e in selected:
+            u, v = g.endpoints[e]
+            low = min(label[u], label[v])
+            if label[u] != low or label[v] != low:
+                label[u] = label[v] = low
+                changed = True
+    new_id = {root: i for i, root in enumerate(sorted(set(label)))}
+    kept = tuple(
+        (new_id[label[u]], new_id[label[v]])
+        for i, (u, v) in enumerate(g.endpoints)
+        if i not in selected
+    )
+    return MultiGraph(len(new_id), kept)
+
+
 def count_spanning_trees(g: MultiGraph) -> int:
     """Brute force: subsets of r-1 edges whose spanning subgraph is connected."""
     r, q = g.vertex_count, g.edge_count
@@ -49,7 +95,7 @@ def count_spanning_trees(g: MultiGraph) -> int:
         return 0
     total = 0
     for subset in combinations(range(q), r - 1):
-        if component_count(delete_edges(g, set(range(q)) - set(subset))) == 1:
+        if component_count(delete_edge_ids(g, set(range(q)) - set(subset))) == 1:
             total += 1
     return total
 
@@ -73,14 +119,14 @@ def chromatic_by_own_recursion(g: MultiGraph, memo=None) -> Polynomial:
     seen = set()
     dupes = [e for e, pair in enumerate(g.endpoints) if pair in seen or seen.add(pair)]
     if dupes:
-        g = delete_edges(g, dupes)
+        g = delete_edge_ids(g, dupes)
     if g.edge_count == 0:
         return Polynomial.monomial(CHROMATIC_VARS, (g.vertex_count,))
     key = canonical_key(g)
     if key not in memo:
         memo[key] = chromatic_by_own_recursion(
-            delete_edges(g, (0,)), memo
-        ) - chromatic_by_own_recursion(contract_edges(g, (0,)), memo)
+            delete_edge_ids(g, (0,)), memo
+        ) - chromatic_by_own_recursion(contract_edge_ids(g, (0,)), memo)
     return memo[key]
 
 

@@ -305,14 +305,21 @@ def test_prime_beyond_the_test_limit_exits_2(capsys):
 def test_deep_recursion_is_an_input_error(tmp_path, capsys):
     # the fan: vertex 0 joined to every vertex of a 999-vertex path
     n = 1000
-    lines = [f"n {n}"] + [f"e 0 {v}" for v in range(1, n)]
-    lines += [f"e {v} {v + 1}" for v in range(1, n - 1)]
-    path = tmp_path / "fan.graph"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    code, _, err = run(capsys, "compute", "chromatic", "--graph", str(path))
-    assert code in (0, 2)
-    assert code == 0 or err.startswith("error:")
-    assert "internal error" not in err and "Traceback" not in err
+    fan = [f"e 0 {v}" for v in range(1, n)] + [f"e {v} {v + 1}" for v in range(1, n - 1)]
+    # the ladder: two 700-vertex paths joined by 700 rungs
+    k = 700
+    ladder = [f"e {v} {v + k}" for v in range(k)]
+    ladder += [f"e {v} {v + 1}" for side in (0, k) for v in range(side, side + k - 1)]
+    for name, invariant, vertices, edges in (
+        ("fan", "chromatic", n, fan),
+        ("ladder", "tutte", 2 * k, ladder),
+    ):
+        path = tmp_path / f"{name}.graph"
+        path.write_text("\n".join([f"n {vertices}"] + edges) + "\n", encoding="utf-8")
+        code, _, err = run(capsys, "compute", invariant, "--graph", str(path))
+        assert code in (0, 2), name
+        assert code == 0 or err.startswith("error:"), name
+        assert "internal error" not in err and "Traceback" not in err, name
 
 
 def test_internal_error_exits_2_not_1(monkeypatch, capsys):

@@ -22,21 +22,24 @@ from graphperiod.graphs import (
     MultiGraph,
     _adjacency,
     _refine,
+    block_key,
     blocks,
     canonical_key,
     component_count,
     component_subgraphs,
     contract_edges,
     delete_edges,
-    edge_subgraph,
     named_graph,
     parse_edge_list,
     relabel,
     render_edge_list,
+    submap,
 )
 from conftest import (
     canonical_key_by_full_search,
     complete_bipartite,
+    contract_edge_ids,
+    delete_edge_ids,
     girth,
     prism,
     random_cubic,
@@ -126,48 +129,48 @@ def test_render_roundtrip():
 
 
 def test_delete_k2_gives_edgeless():
-    assert delete_edges(parse_edge_list("n 2\ne 0 1"), (0,)) == MultiGraph(2)
+    assert delete_edge_ids(parse_edge_list("n 2\ne 0 1"), (0,)) == MultiGraph(2)
 
 
 def test_delete_cycle_edge_gives_path():
     c3 = named_graph("cycle", 3)
     for e in range(3):
-        without = delete_edges(c3, (e,))
+        without = delete_edge_ids(c3, (e,))
         assert without.edge_count == 2 and component_count(without) == 1
 
 
 def test_delete_loop():
-    assert delete_edges(parse_edge_list("n 1\ne 0 0"), (0,)) == MultiGraph(1)
+    assert delete_edge_ids(parse_edge_list("n 1\ne 0 0"), (0,)) == MultiGraph(1)
 
 
 def test_delete_out_of_range():
     with pytest.raises(ValueError):
-        delete_edges(named_graph("cycle", 3), (3,))
+        delete_edge_ids(named_graph("cycle", 3), (3,))
 
 
 def test_contract_k2():
-    assert contract_edges(parse_edge_list("n 2\ne 0 1"), (0,)) == MultiGraph(1)
+    assert contract_edge_ids(parse_edge_list("n 2\ne 0 1"), (0,)) == MultiGraph(1)
 
 
 def test_contract_parallel_becomes_loop():
     c2 = named_graph("cycle", 2)
-    assert contract_edges(c2, (0,)) == MultiGraph(1, ((0, 0),))
+    assert contract_edge_ids(c2, (0,)) == MultiGraph(1, ((0, 0),))
 
 
 def test_contract_cycle_gives_smaller_cycle():
     c3 = named_graph("cycle", 3)
-    contracted = contract_edges(c3, (0,))
+    contracted = contract_edge_ids(c3, (0,))
     assert canonical_key(contracted) == canonical_key(named_graph("cycle", 2))
 
 
 def test_contract_loop_rejected():
     with pytest.raises(ValueError):
-        contract_edges(parse_edge_list("n 1\ne 0 0"), (0,))
+        contract_edge_ids(parse_edge_list("n 1\ne 0 0"), (0,))
 
 
 def test_spanning_subgraph_range_check():
     with pytest.raises(ValueError):
-        contract_edges(named_graph("cycle", 3), (5,))
+        contract_edge_ids(named_graph("cycle", 3), (5,))
 
 
 # -- components --------------------------------------------------------------------
@@ -187,27 +190,38 @@ def test_component_count_disjoint():
     assert component_count(g) == 2
 
 
-# -- bridges and blocks ------------------------------------------------------------------
+# -- adjacency maps: blocks, deletion, contraction ---------------------------------------
+
+
+def _random_graph(rng, max_vertices, max_edges):
+    n = rng.randint(1, max_vertices)
+    return MultiGraph(
+        n, tuple((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, max_edges)))
+    )
+
+
+def _map_graph(adj) -> MultiGraph:
+    """The graph of a map on its vertices with neighbours, renumbered in
+    order."""
+    kept = [v for v, row in enumerate(adj) if row]
+    index = {v: i for i, v in enumerate(kept)}
+    pairs = [(index[v], index[w]) for v in kept for w, m in adj[v].items() if v < w for _ in range(m)]
+    return MultiGraph(len(kept), tuple(pairs))
 
 
 def test_deletion_component_growth_matches_classification():
     rng = random.Random(7)
     for _ in range(50):
-        n = rng.randint(1, 6)
-        g = MultiGraph(
-            n,
-            tuple(
-                (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 8))
-            ),
-        )
-        # a bridge is a block of one edge that is not a loop
+        g = _random_graph(rng, 6, 8)
+        _, adj = _adjacency(g)
+        # a bridge is a two-vertex block of multiplicity 1
         bridges = {
-            b[0] for b in blocks(g) if len(b) == 1 and len(set(g.endpoints[b[0]])) == 2
+            tuple(b) for b in blocks(adj) if len(b) == 2 and adj[b[0]][b[1]] == 1
         }
         for e in range(g.edge_count):
-            grew = component_count(delete_edges(g, (e,))) - component_count(g)
+            grew = component_count(delete_edge_ids(g, (e,))) - component_count(g)
             assert grew in (0, 1)
-            assert (grew == 1) == (e in bridges)
+            assert (grew == 1) == (g.endpoints[e] in bridges)
 
 
 def test_blocks_of_necklace_and_loops():
@@ -215,29 +229,81 @@ def test_blocks_of_necklace_and_loops():
     g = parse_edge_list(
         "n 7\ne 0 1\ne 1 2\ne 2 0\ne 2 3\ne 3 4\ne 4 2\ne 4 5\ne 5 6\ne 5 6\ne 6 6"
     )
-    assert blocks(g) == [[0, 1, 2], [3, 4, 5], [6], [7, 8], [9]]
+    loops, adj = _adjacency(g)
+    assert loops == [0, 0, 0, 0, 0, 0, 1]
+    assert sorted(blocks(adj)) == [[0, 1, 2], [2, 3, 4], [4, 5], [5, 6]]
+    assert adj[4][5] == 1 and adj[5][6] == 2
+
+
+def _connected(adj, drop=None) -> bool:
+    """Whether the vertices of a map other than ``drop`` are connected."""
+    vertices = [v for v in range(len(adj)) if v != drop]
+    seen = {vertices[0]}
+    stack = [vertices[0]]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w != drop and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(vertices)
 
 
 def test_blocks_partition_edges_into_two_connected_pieces():
     rng = random.Random(3)
     for _ in range(50):
-        n = rng.randint(1, 7)
-        g = MultiGraph(
-            n,
-            tuple((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 10))),
-        )
-        parts = blocks(g)
-        assert sorted(e for part in parts for e in part) == list(range(g.edge_count))
+        g = _random_graph(rng, 7, 10)
+        _, adj = _adjacency(g)
+        parts = blocks(adj)
+        # every parallel class lies in exactly one block
+        for u, row in enumerate(adj):
+            for w in row:
+                assert sum(u in part and w in part for part in parts) == 1
         for part in parts:
-            piece = edge_subgraph(g, part)
-            assert component_count(piece) == 1
+            piece = submap(adj, part)
+            assert len(piece) == len(part) >= 2 and _connected(piece)
             # no cut vertex: deleting any vertex leaves the rest connected
-            if piece.vertex_count > 2:
-                for v in range(piece.vertex_count):
-                    kept = [(a, b) for a, b in piece.endpoints if v not in (a, b)]
-                    rest = edge_subgraph(MultiGraph(piece.vertex_count, tuple(kept)), range(len(kept)))
-                    assert rest.vertex_count == piece.vertex_count - 1
-                    assert component_count(rest) == 1
+            if len(piece) > 2:
+                for v in range(len(piece)):
+                    assert _connected(piece, drop=v)
+
+
+def test_map_minors_match_the_edge_id_route():
+    # deleting or contracting whole parallel classes of the map gives the
+    # minors that the edge-id route gives for the same edges
+    rng = random.Random(11)
+    joined_ends = 0
+    for _ in range(200):
+        g = _random_graph(rng, 8, 14)
+        # the map leaves loops out, so the edge-id route starts without them
+        loopless = MultiGraph(g.vertex_count, tuple(p for p in g.endpoints if p[0] != p[1]))
+        _, adj = _adjacency(g)
+        classes = sorted(set(loopless.endpoints))
+        picked = rng.sample(classes, rng.randint(0, len(classes)))
+        ids = [e for e, pair in enumerate(loopless.endpoints) if pair in picked]
+
+        deleted = _adjacency(delete_edge_ids(loopless, ids))[1]
+        assert canonical_key(_map_graph(delete_edges(adj, picked))) == canonical_key(
+            _map_graph(deleted)
+        )
+
+        contracted, inner = contract_edges(adj, picked)
+        expected_loops, expected = _adjacency(contract_edge_ids(loopless, ids))
+        assert inner == sum(expected_loops)
+        joined_ends += inner
+        assert canonical_key(_map_graph(contracted)) == canonical_key(_map_graph(expected))
+        # the parent map is left as it was
+        assert adj == _adjacency(g)[1]
+    assert joined_ends
+
+
+def test_block_key_is_the_canonical_key_of_a_block():
+    rng = random.Random(5)
+    for _ in range(100):
+        g = _random_graph(rng, 7, 12)
+        _, adj = _adjacency(g)
+        for part in blocks(adj):
+            piece = submap(adj, part)
+            assert block_key(piece) == canonical_key(_map_graph(piece))
 
 
 # -- canonical keys ----------------------------------------------------------------------
@@ -301,8 +367,8 @@ def test_delete_contract_commute_up_to_isomorphism(g, data):
     # delete e first: f's id shifts down when f > e; contract f first: e likewise
     f_after = f - 1 if f > e else f
     e_after = e - 1 if e > f else e
-    left = contract_edges(delete_edges(g, (e,)), (f_after,))
-    right = delete_edges(contract_edges(g, (f,)), (e_after,))
+    left = contract_edge_ids(delete_edge_ids(g, (e,)), (f_after,))
+    right = delete_edge_ids(contract_edge_ids(g, (f,)), (e_after,))
     assert canonical_key(left) == canonical_key(right)
 
 
@@ -390,17 +456,7 @@ def test_structural_operations_build_validated_graphs():
     rng = random.Random(7)
     for _ in range(300):
         g = random_multigraph(rng, max_vertices=8, max_edges=14)
-        edges = list(range(g.edge_count))
-        picked = rng.sample(edges, rng.randint(0, g.edge_count))
-        non_loops = [e for e in edges if g.endpoints[e][0] != g.endpoints[e][1]]
-        contracted = rng.sample(non_loops, rng.randint(0, len(non_loops)))
-        results = [
-            delete_edges(g, picked),
-            contract_edges(g, contracted),
-            edge_subgraph(g, picked),
-            *component_subgraphs(g),
-        ]
-        for h in results:
+        for h in component_subgraphs(g):
             _assert_built_as_validated(h)
 
 

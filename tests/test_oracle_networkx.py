@@ -1,5 +1,6 @@
 """Differential tests against an outside oracle: networkx's Tutte and
-chromatic polynomials (computed with sympy)."""
+chromatic polynomials (computed with sympy) and its biconnected
+components."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ nx = pytest.importorskip("networkx")
 sympy = pytest.importorskip("sympy")
 
 from graphperiod.families import random_multigraph  # noqa: E402
-from graphperiod.graphs import MultiGraph  # noqa: E402
+from graphperiod.graphs import MultiGraph, _adjacency, blocks  # noqa: E402
 from graphperiod.invariants import (  # noqa: E402
     CHROMATIC_VARS,
     TUTTE_CLASSIC_VARS,
@@ -69,3 +70,18 @@ def test_tutte_and_chromatic_match_networkx(kind, g):
     assert tutte_deletion_contraction(g, cache={}).classic == expected_tutte
     expected_chromatic = from_sympy(nx.chromatic_polynomial(h), (X,), CHROMATIC_VARS)
     assert chromatic_deletion_contraction(g, cache={}) == expected_chromatic
+
+
+def test_blocks_match_networkx_biconnected_components():
+    rng = random.Random(20261019)
+    split = 0
+    for _ in range(200):
+        g = random_multigraph(rng, max_vertices=10, max_edges=20)
+        _, adj = _adjacency(g)
+        simple = nx.Graph()
+        simple.add_nodes_from(range(g.vertex_count))
+        simple.add_edges_from((u, v) for u, v in g.endpoints if u != v)
+        expected = sorted(sorted(c) for c in nx.biconnected_components(simple))
+        assert sorted(blocks(adj)) == expected, g
+        split += len(expected) > 1
+    assert split
