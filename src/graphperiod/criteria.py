@@ -32,7 +32,8 @@ Checks against a quotient witness h (oracle-assisted):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .graphs import MultiGraph, component_count, is_connected
 from .invariants import (
@@ -52,6 +53,10 @@ from .polynomials import (
 from .symmetry import (
     DEFAULT_VERTEX_LIMIT,
     OracleLimitError,
+    _first_free_period,
+    _search_root,
+    # not called here: the benchmark's tracer (perfbench/spans.py) wraps
+    # this module's find_free_period, so the name stays importable from it
     find_free_period,
     quotient_graph,
     validate_free_period,
@@ -110,12 +115,26 @@ class Violation:
 
 @dataclass(frozen=True)
 class CriterionReport:
+    """One check's verdict.  The violating terms are kept as a table,
+    ``terms`` (exponents -> coefficient over ``variables``), and rendered
+    into ``violations`` on first read."""
+
     criterion: str
     graph: str
     p: int
     verdict: str
-    violations: tuple = ()
     notes: tuple = ()
+    variables: tuple = field(default=(), repr=False, compare=False)
+    terms: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @cached_property
+    def violations(self) -> tuple:
+        """The violating terms, the last variable most significant."""
+        variables, terms = self.variables, self.terms
+        return tuple([
+            Violation(monomial=render_monomial(variables, exps), coefficient=terms[exps])
+            for exps in sorted(terms, key=lambda e: tuple(reversed(e)))
+        ])
 
     @property
     def passed(self) -> bool:
@@ -166,19 +185,15 @@ def _require_connected(g: MultiGraph, criterion: str):
 
 def _report(criterion, g, p, graph_label, terms, variables, *notes) -> CriterionReport:
     """The report of one check: ``terms`` (exponents -> coefficient over
-    ``variables``) are its violations, listed with the last variable most
-    significant; any violation fails it."""
-    violations = tuple([
-        Violation(monomial=render_monomial(variables, exps), coefficient=terms[exps])
-        for exps in sorted(terms, key=lambda e: tuple(reversed(e)))
-    ])
+    ``variables``) are its violations; any violation fails it."""
     return CriterionReport(
         criterion=criterion,
         graph=graph_label or _default_label(g),
         p=p,
-        verdict="fail" if violations else "pass",
-        violations=violations,
+        verdict="fail" if terms else "pass",
         notes=notes,
+        variables=variables,
+        terms=terms,
     )
 
 
@@ -249,7 +264,6 @@ def check_selfdual_vertex_count(
         graph=graph_label or _default_label(g),
         p=p,
         verdict=verdict,
-        violations=(),
         notes=(
             "self-duality asserted by caller; T(s,t) = T(t,s) verified",
             f"r = {r}, r mod {p} = {r % p}",
@@ -340,37 +354,55 @@ def exclusion_report(
     exponents.  With ``use_oracle`` the free-period search cross-checks
     that no excluded prime actually has a free period (a contradiction
     raises SoundnessError); when the search gives up, above ``oracle_limit``
-    vertices or past the node budget, the reports say so."""
+    vertices or past the node budget, the reports say so.  The search root
+    (adjacency and colour refinement) is built once per graph and serves
+    the search at every prime; the node budget holds per search."""
     _require_connected(g, "exclusion report")
     label = graph_label or _default_label(g)
     tutte = tutte_deletion_contraction(g).shifted
     negami = negami_from_tutte(g, tutte)
+    root = skipped = None
+    if use_oracle:
+        try:
+            root = _search_root(g, oracle_limit)
+        except OracleLimitError as exc:
+            skipped = f"oracle: skipped, {exc}"
     reports = []
     for p in sorted(set(primes)):
         per_prime = [
             check_tutte_coefficients(g, p, graph_label=label, tutte=tutte),
             check_negami_shape(g, p, graph_label=label, negami=negami),
         ]
-        excluded = any(r.verdict == "fail" for r in per_prime)
         if use_oracle:
-            try:
-                witness = find_free_period(g, p, limit=oracle_limit)
-            except OracleLimitError as exc:
-                oracle_note = f"oracle: skipped, {exc}"
-            else:
-                if witness is not None and excluded:
-                    raise SoundnessError(
-                        f"free period of order {p} found although the "
-                        f"criteria exclude it: {witness.to_dict()}"
-                    )
-                oracle_note = (
-                    f"oracle: free period of order {p} "
-                    + ("found" if witness is not None else "not found")
+            oracle_note = skipped or _oracle_note(g, p, root, per_prime)
+            per_prime = [
+                CriterionReport(
+                    r.criterion, r.graph, r.p, r.verdict, r.notes + (oracle_note,),
+                    r.variables, r.terms,
                 )
-            per_prime = [replace(r, notes=r.notes + (oracle_note,)) for r in per_prime]
+                for r in per_prime
+            ]
         reports.extend(per_prime)
     reports.sort(key=lambda r: (r.graph, r.p, r.criterion))
     return reports
+
+
+def _oracle_note(g, p, root, reports) -> str:
+    """The oracle's note on the reports at p: whether the free-period
+    search from ``root`` found a period, or why it gave up.  A period found
+    although a report excludes p raises SoundnessError."""
+    try:
+        witness = _first_free_period(g, p, root)
+    except OracleLimitError as exc:
+        return f"oracle: skipped, {exc}"
+    if witness is not None and any(r.verdict == "fail" for r in reports):
+        raise SoundnessError(
+            f"free period of order {p} found although the "
+            f"criteria exclude it: {witness.to_dict()}"
+        )
+    return f"oracle: free period of order {p} " + (
+        "found" if witness is not None else "not found"
+    )
 
 
 def excluded_primes(reports) -> list:

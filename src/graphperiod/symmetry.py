@@ -136,12 +136,32 @@ def automorphism_from_vertex_perm(g: MultiGraph, vertex_perm) -> Automorphism:
     return h
 
 
-def _vertex_automorphisms(g: MultiGraph, limit, *, period=None):
+def _search_root(g: MultiGraph, limit):
+    """(loops, adj, candidates): the graph's loop counts and adjacency
+    multiplicities, and for each vertex its refined colour cell, the
+    candidate images of every search on g.  Built once, it serves any
+    number of searches, which only read it.
+
+    Raises OracleLimitError above ``limit`` vertices.
+    """
+    n = g.vertex_count
+    if n > limit:
+        raise OracleLimitError(f"{n} vertices exceed the limit of {limit}")
+    loops, adj = _adjacency(g)
+    colors = _refine(n, adj, loops, [0] * n)
+    cells: dict = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
+    return loops, adj, [cells[c] for c in colors]
+
+
+def _vertex_automorphisms(root, *, period=None):
     """Vertex permutations preserving loop counts and adjacency
-    multiplicities, by backtracking: each vertex in turn takes an image in
-    its refined colour cell that keeps the multiplicities to every vertex
-    placed before it.  The refinement separates loop counts, so the cell is
-    the whole candidate set.
+    multiplicities, by backtracking from ``root`` (see ``_search_root``):
+    each vertex in turn takes an image in its refined colour cell that
+    keeps the multiplicities to every vertex placed before it.  The
+    refinement separates loop counts, so the cell is the whole candidate
+    set.
 
     Without ``period`` every automorphism is yielded, placing the vertices
     in a BFS order, which meets adjacency constraints sooner.  With a prime
@@ -150,21 +170,14 @@ def _vertex_automorphisms(g: MultiGraph, limit, *, period=None):
     order, and every branch that cannot extend to a free action of order p
     is cut (see ``_period_step``).
 
-    Raises OracleLimitError above ``limit`` vertices, and once the search
-    visits more than SEARCH_NODE_BUDGET nodes.
+    Raises OracleLimitError once the search visits more than
+    SEARCH_NODE_BUDGET nodes.
     """
-    n = g.vertex_count
-    if n > limit:
-        raise OracleLimitError(f"{n} vertices exceed the limit of {limit}")
+    loops, adj, candidates = root
+    n = len(loops)
     if n == 0:
         yield ()
         return
-    loops, adj = _adjacency(g)
-    colors = _refine(n, adj, loops, [0] * n)
-    cells: dict = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    candidates = [cells[c] for c in colors]
 
     image = [-1] * n
     preimage = [-1] * n
@@ -175,11 +188,11 @@ def _vertex_automorphisms(g: MultiGraph, limit, *, period=None):
         step = None
         order = []
         seen = [False] * n
-        for root in range(n):
-            if seen[root]:
+        for start in range(n):
+            if seen[start]:
                 continue
-            queue = [root]
-            seen[root] = True
+            queue = [start]
+            seen[start] = True
             while queue:
                 v = queue.pop(0)
                 order.append(v)
@@ -225,7 +238,7 @@ def _vertex_automorphisms(g: MultiGraph, limit, *, period=None):
 def enumerate_automorphisms(g: MultiGraph, *, limit=DEFAULT_VERTEX_LIMIT):
     """Complete automorphism list, each vertex permutation paired with the
     canonical edge permutation, sorted by vertex permutation."""
-    vertex_perms = sorted(_vertex_automorphisms(g, limit))
+    vertex_perms = sorted(_vertex_automorphisms(_search_root(g, limit)))
     index = _edge_index(g)
     return [Automorphism(vp, _induced_edge_perm(index, vp)) for vp in vertex_perms]
 
@@ -271,7 +284,8 @@ def _period_step(p, loops, adj, cell_of, image, preimage):
       completed: its open chains need more vertices than it has left
       unplaced, or the fixed vertices it still needs (its size minus its
       fixed vertices is divisible by p) outnumber the unplaced vertices
-      that could still be fixed.
+      that could still be fixed, or it needs two or more and no two of
+      those vertices could be fixed together.
     """
     def fixable(x):
         # x may be fixed beside the vertices fixed so far
@@ -315,12 +329,19 @@ def _period_step(p, loops, adj, cell_of, image, preimage):
             return False
         need = (len(cell) - fixed) % p
         if need:
-            for x in cell:
-                if image[x] == -1 and preimage[x] == -1 and fixable(x):
-                    need -= 1
-                    if not need:
-                        break
-            else:
+            free = [
+                x for x in cell
+                if image[x] == -1 and preimage[x] == -1 and fixable(x)
+            ]
+            if len(free) < need:
+                return False
+            # two of them end fixed together, so they must be joined by a
+            # class of multiplicity divisible by p (0 included)
+            if need >= 2 and not any(
+                adj[x].get(y, 0) % p == 0
+                for i, x in enumerate(free)
+                for y in free[i + 1 :]
+            ):
                 return False
         return True
 
@@ -339,8 +360,14 @@ def find_free_period(g: MultiGraph, p: int, *, limit=DEFAULT_VERTEX_LIMIT):
     """
     if not is_prime(p):
         raise ValueError(f"period must be prime, got {p}")
+    return _first_free_period(g, p, _search_root(g, limit))
+
+
+def _first_free_period(g: MultiGraph, p: int, root):
+    """``find_free_period`` for a prime p, from a search root of g already
+    built (see ``_search_root``)."""
     identity_v = tuple(range(g.vertex_count))
-    for vp in _vertex_automorphisms(g, limit, period=p):
+    for vp in _vertex_automorphisms(root, period=p):
         if vp == identity_v and g.edge_count == 0:
             continue  # the identity pair has order 1, not p
         ep = _free_edge_perm(g, vp, p)

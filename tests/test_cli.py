@@ -228,8 +228,8 @@ def test_oracle_find_period(capsys):
     "argv",
     [
         ("oracle", "automorphisms", "--graph", "complete:5"),
-        ("oracle", "find-period", "--graph", "complete:7", "--p", "5"),
-        ("quotient", "--graph", "complete:7", "--p", "5"),
+        ("oracle", "find-period", "--graph", "frucht", "--p", "3"),
+        ("quotient", "--graph", "frucht", "--p", "3"),
     ],
 )
 def test_search_budget_exits_2(capsys, monkeypatch, argv):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from graphperiod.graphs import named_graph, parse_edge_list
+from graphperiod.families import random_multigraph
+from graphperiod.graphs import is_connected, named_graph, parse_edge_list
 from graphperiod.invariants import (
     negami_polynomial,
     negami_subset_expansion,
@@ -245,6 +248,40 @@ def test_exclusion_oracle_crosscheck_runs_clean():
     # petersen carries free 3- and 5-periods but every involution fixes an edge
     reports = exclusion_report(PETERSEN, [2, 3, 5], use_oracle=True)
     assert excluded_primes(reports) == [2]
+
+
+def _connected_random_multigraphs(count):
+    rng = random.Random(20261019)
+    graphs = []
+    while len(graphs) < count:
+        g = random_multigraph(rng, max_vertices=7, max_edges=12)
+        if is_connected(g):
+            graphs.append(g)
+    return graphs
+
+
+def test_exclusion_report_matches_standalone_checks(small_connected_family):
+    # one search root per graph serves every prime, and the batch's reports
+    # read as the standalone checks' plus the oracle's note
+    graphs = list(small_connected_family) + _connected_random_multigraphs(200)
+    primes = (2, 3, 5, 7)
+    checks = {"cor1.2": check_tutte_coefficients, "thm1.1": check_negami_shape}
+    for g in graphs:
+        reports = exclusion_report(g, primes, use_oracle=True)
+        assert [(r.p, r.criterion) for r in reports] == [
+            (p, c) for p in primes for c in sorted(checks)
+        ]
+        for report in reports:
+            alone = checks[report.criterion](g, report.p)
+            assert report.verdict == alone.verdict, (g, report.p)
+            pairs = [(v.monomial, v.coefficient) for v in report.violations]
+            assert pairs == [(v.monomial, v.coefficient) for v in alone.violations]
+            assert report.violations == report.violations
+            assert report.notes[:-1] == alone.notes
+            found = find_free_period(g, report.p) is not None
+            assert report.notes[-1] == f"oracle: free period of order {report.p} " + (
+                "found" if found else "not found"
+            )
 
 
 # -- report plumbing ---------------------------------------------------------------------------

@@ -163,8 +163,8 @@ def _assert_same_witness(g, p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_search_matches_enumeration_on_small_family(small_connected_family, p):
-    for g in small_connected_family:
+def test_search_matches_enumeration_on_small_family(p):
+    for g in connected_simple_graphs(6):
         for variant in loop_parallel_variants(g):
             _assert_same_witness(variant, p)
 
@@ -230,18 +230,54 @@ def test_budget_counts_search_nodes(monkeypatch):
 
 
 def test_budget_bounds_period_search(monkeypatch):
+    # Frucht at p = 3 answers "none" after 272 nodes
     monkeypatch.setattr(symmetry, "SEARCH_NODE_BUDGET", 10)
     with pytest.raises(OracleLimitError, match="budget of 10 nodes"):
-        find_free_period(named_graph("complete", 7), 5)
+        find_free_period(named_graph("frucht"), 3)
 
 
 def test_exclusion_report_notes_exceeded_budget(monkeypatch):
     monkeypatch.setattr(symmetry, "SEARCH_NODE_BUDGET", 10)
-    reports = criteria.exclusion_report(
-        named_graph("complete", 7), [5], use_oracle=True
-    )
+    reports = criteria.exclusion_report(named_graph("frucht"), [3], use_oracle=True)
     note = "oracle: skipped, search budget of 10 nodes exceeded"
     assert len(reports) == 2 and all(note in r.notes for r in reports)
+
+
+def test_exclusion_report_budget_holds_per_prime(monkeypatch):
+    # Petersen's searches take 116, 20, 28 and 305 nodes at p = 2, 3, 5, 7:
+    # each fits a budget of 305, the four together do not
+    petersen = named_graph("petersen")
+    monkeypatch.setattr(symmetry, "SEARCH_NODE_BUDGET", 305)
+    reports = criteria.exclusion_report(petersen, PRIMES, use_oracle=True)
+    assert len(reports) == 8
+    assert not any("skipped" in note for r in reports for note in r.notes)
+    monkeypatch.setattr(symmetry, "SEARCH_NODE_BUDGET", 304)
+    reports = criteria.exclusion_report(petersen, PRIMES, use_oracle=True)
+    skipped = {r.p for r in reports if any("skipped" in note for note in r.notes)}
+    assert skipped == {7}
+
+
+# -- vertices that can never be fixed together -----------------------------------
+
+
+@pytest.mark.parametrize("n, p", [(12, 5), (10, 7), (11, 7), (12, 7)])
+def test_complete_graph_without_free_period_answers_none(n, p):
+    # n mod p >= 2 vertices must be fixed, and any two are joined by one
+    # edge, a class that <h> fixes although p does not divide its size
+    assert find_free_period(named_graph("complete", n), p) is None
+
+
+@pytest.mark.parametrize("multiplicity", [0, 3])
+def test_fixed_pair_joined_by_a_multiple_of_p(multiplicity):
+    # K33 with each side's pairs joined by 0 or 3 edges: at p = 3 the first
+    # witness fixes 0, 1 and 2, so the cell of all six vertices needs two
+    # more fixed vertices once 0 is placed, and 1, 2 may be fixed together
+    sides = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+    edges = [(a, b) for a in range(3) for b in range(3, 6)]
+    g = MultiGraph(6, tuple(edges + sides * multiplicity))
+    h = find_free_period(g, 3)
+    assert h is not None and h.vertex_perm[:3] == (0, 1, 2)
+    _assert_same_witness(g, 3)
 
 
 # -- orbits ---------------------------------------------------------------------
