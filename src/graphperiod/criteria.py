@@ -32,10 +32,9 @@ Checks against a quotient witness h (oracle-assisted):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
-from .graphs import MultiGraph, component_count, is_connected
+from .graphs import Frozen, MultiGraph, component_count, is_connected
 from .invariants import (
     CHROMATIC_VARS,
     TUTTE_SHIFTED_VARS,
@@ -60,15 +59,6 @@ from .symmetry import (
     find_free_period,
     quotient_graph,
     validate_free_period,
-)
-
-CRITERION_IDS = (
-    "thm1.1",
-    "cor1.2",
-    "cor1.3",
-    "thm3.1",
-    "cor3.2",
-    "chromatic-remark",
 )
 
 REPORT_SCHEMA = {
@@ -107,25 +97,39 @@ class SoundnessError(RuntimeError):
     """A criterion failed on a graph the oracle proved periodic."""
 
 
-@dataclass(frozen=True)
-class Violation:
-    monomial: str
-    coefficient: int
+class Violation(Frozen):
+    _fields = ("monomial", "coefficient")
+
+    def __init__(self, monomial: str, coefficient: int):
+        object.__setattr__(self, "monomial", monomial)
+        object.__setattr__(self, "coefficient", coefficient)
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(Frozen):
     """One check's verdict.  The violating terms are kept as a table,
     ``terms`` (exponents -> coefficient over ``variables``), and rendered
-    into ``violations`` on first read."""
+    into ``violations`` on first read; equality, hashing and the repr leave
+    ``variables`` and ``terms`` out."""
 
-    criterion: str
-    graph: str
-    p: int
-    verdict: str
-    notes: tuple = ()
-    variables: tuple = field(default=(), repr=False, compare=False)
-    terms: dict = field(default_factory=dict, repr=False, compare=False)
+    _fields = ("criterion", "graph", "p", "verdict", "notes")
+
+    def __init__(
+        self,
+        criterion: str,
+        graph: str,
+        p: int,
+        verdict: str,
+        notes: tuple = (),
+        variables: tuple = (),
+        terms: dict | None = None,
+    ):
+        object.__setattr__(self, "criterion", criterion)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "notes", notes)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "terms", {} if terms is None else terms)
 
     @cached_property
     def violations(self) -> tuple:

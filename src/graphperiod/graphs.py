@@ -14,7 +14,8 @@ classes and a block's canonical key work on the map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 
 
 # Largest graphs accepted from outside the program (files, named specs).
@@ -42,28 +43,68 @@ def _check_size(vertices: int, edges: int):
         raise GraphTooLargeError(f"{edges} edges exceed the limit of {MAX_EDGES}")
 
 
-@dataclass(frozen=True)
-class MultiGraph:
-    vertex_count: int
-    endpoints: tuple = ()
+class Frozen:
+    """Base of the package's immutable value classes.
 
-    def __post_init__(self):
-        if self.vertex_count < 0:
+    A subclass lists in ``_fields`` the fields that equality, hashing and
+    the repr read, in constructor order, and sets them in ``__init__``
+    through ``object.__setattr__``; every other assignment raises
+    AttributeError.  Instances keep a ``__dict__``: pickle and copy restore
+    it without calling ``__setattr__``, and ``cached_property`` writes to it.
+    """
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the values of _fields as one tuple (every subclass has two or more)
+        cls._key = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._key))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MultiGraph(Frozen):
+    _fields = ("vertex_count", "endpoints")
+
+    def __init__(self, vertex_count: int, endpoints: tuple = ()):
+        if vertex_count < 0:
             raise ValueError("vertex count must be non-negative")
         norm = []
-        for pair in self.endpoints:
+        for pair in endpoints:
             u, v = pair
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(
                     f"edge endpoint out of range: ({u}, {v}) with "
-                    f"{self.vertex_count} vertices"
+                    f"{vertex_count} vertices"
                 )
             norm.append((u, v) if u <= v else (v, u))
+        object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "endpoints", tuple(norm))
 
     @property
     def edge_count(self) -> int:
         return len(self.endpoints)
+
+    @cached_property
+    def _components(self) -> int:
+        """The number of connected components, counted on first read."""
+        return len(set(_component_labels(self.vertex_count, self.endpoints)))
 
     def __repr__(self):
         return f"MultiGraph({self.vertex_count}, {list(self.endpoints)!r})"
@@ -225,7 +266,7 @@ def _component_labels(vertex_count: int, pairs):
 
 
 def component_count(g: MultiGraph) -> int:
-    return len(set(_component_labels(g.vertex_count, g.endpoints)))
+    return g._components
 
 
 def is_connected(g: MultiGraph) -> bool:

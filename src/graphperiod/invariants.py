@@ -53,9 +53,9 @@ oracle that the recursion is tested against on small graphs.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
 from .graphs import (
+    Frozen,
     MultiGraph,
     _adjacency,
     block_key,
@@ -82,40 +82,45 @@ class SubsetCapExceededError(ValueError):
     """The 2^q subset expansion was refused because q is too large."""
 
 
-@dataclass(frozen=True)
-class TuttePair:
+class TuttePair(Frozen):
     """Tutte polynomial in both coordinate systems.
 
     ``shifted`` is ``classic`` with x -> s+1, y -> t+1; the two carry the
     same information and the criteria are stated on the shifted form.
+    Unhashable, as Polynomial is.
     """
 
-    classic: Polynomial
-    shifted: Polynomial
+    _fields = ("classic", "shifted")
+
+    def __init__(self, classic: Polynomial, shifted: Polynomial):
+        object.__setattr__(self, "classic", classic)
+        object.__setattr__(self, "shifted", shifted)
 
 
-@dataclass(frozen=True)
-class NegamiPolynomial:
+class NegamiPolynomial(Frozen):
     """Three-variable subset-expansion polynomial plus the source graph's
-    vertex/edge/component counts needed by downstream specializations."""
+    vertex/edge/component counts needed by downstream specializations.
+    Unhashable, as Polynomial is."""
 
-    polynomial: Polynomial
-    vertex_count: int
-    edge_count: int
-    components: int
+    _fields = ("polynomial", "vertex_count", "edge_count", "components")
 
-    def __post_init__(self):
-        u_low = self.components
-        for exps in self.polynomial.terms:
+    def __init__(
+        self, polynomial: Polynomial, vertex_count: int, edge_count: int, components: int
+    ):
+        for exps in polynomial.terms:
             eu, ex, ey = exps
-            if ex + ey != self.edge_count:
+            if ex + ey != edge_count:
                 raise ValueError(
-                    f"term u^{eu}*x^{ex}*y^{ey} violates x+y degree {self.edge_count}"
+                    f"term u^{eu}*x^{ex}*y^{ey} violates x+y degree {edge_count}"
                 )
-            if not u_low <= eu <= self.vertex_count:
+            if not components <= eu <= vertex_count:
                 raise ValueError(
-                    f"u-exponent {eu} outside {u_low}..{self.vertex_count}"
+                    f"u-exponent {eu} outside {components}..{vertex_count}"
                 )
+        object.__setattr__(self, "polynomial", polynomial)
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edge_count", edge_count)
+        object.__setattr__(self, "components", components)
 
 
 # -- Tutte by deletion-contraction -----------------------------------------

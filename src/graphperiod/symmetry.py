@@ -25,9 +25,8 @@ of <h> to a single vertex/edge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .graphs import MultiGraph, _adjacency, _refine
+from .graphs import Frozen, MultiGraph, _adjacency, _refine
 from .polynomials import is_prime
 
 DEFAULT_VERTEX_LIMIT = 32
@@ -58,15 +57,15 @@ def _cycles(perm):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Automorphism:
-    vertex_perm: tuple
-    edge_perm: tuple
+class Automorphism(Frozen):
+    _fields = ("vertex_perm", "edge_perm")
 
-    def __post_init__(self):
-        for name, perm in (("vertex", self.vertex_perm), ("edge", self.edge_perm)):
+    def __init__(self, vertex_perm: tuple, edge_perm: tuple):
+        for name, perm in (("vertex", vertex_perm), ("edge", edge_perm)):
             if sorted(perm) != list(range(len(perm))):
                 raise ValueError(f"{name}_perm is not a permutation")
+        object.__setattr__(self, "vertex_perm", vertex_perm)
+        object.__setattr__(self, "edge_perm", edge_perm)
 
     def order(self) -> int:
         n = 1
@@ -388,13 +387,24 @@ def orbits(g: MultiGraph, h: Automorphism):
     return _orbit_partition(h.vertex_perm), _orbit_partition(h.edge_perm)
 
 
-@dataclass(frozen=True)
-class QuotientMap:
-    vertex_orbits: tuple
-    edge_orbits: tuple
-    quotient: MultiGraph
-    vertex_projection: tuple
-    edge_projection: tuple
+class QuotientMap(Frozen):
+    _fields = (
+        "vertex_orbits", "edge_orbits", "quotient", "vertex_projection", "edge_projection"
+    )
+
+    def __init__(
+        self,
+        vertex_orbits: tuple,
+        edge_orbits: tuple,
+        quotient: MultiGraph,
+        vertex_projection: tuple,
+        edge_projection: tuple,
+    ):
+        object.__setattr__(self, "vertex_orbits", vertex_orbits)
+        object.__setattr__(self, "edge_orbits", edge_orbits)
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "vertex_projection", vertex_projection)
+        object.__setattr__(self, "edge_projection", edge_projection)
 
 
 def validate_free_period(g: MultiGraph, h: Automorphism, p: int):

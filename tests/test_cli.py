@@ -326,7 +326,7 @@ def test_internal_error_exits_2_not_1(monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise SoundnessError("oracle contradicts an exclusion")
 
-    monkeypatch.setattr("graphperiod.cli.crit.exclusion_report", explode)
+    monkeypatch.setattr("graphperiod.criteria.exclusion_report", explode)
     code, out, err = run(
         capsys, "exclude", "--graph", "cycle:5", "--primes", "5", "--oracle"
     )

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from graphperiod import graphs
 from graphperiod.families import random_multigraph
 from graphperiod.graphs import is_connected, named_graph, parse_edge_list
 from graphperiod.invariants import (
@@ -241,6 +242,25 @@ def test_exclusion_ordering_deterministic():
     keys = [(r.graph, r.p, r.criterion) for r in reports]
     assert keys == sorted(keys)
     assert [r.p for r in reports] == [2, 2, 3, 3, 5, 5]
+
+
+def test_exclusion_report_counts_components_once(monkeypatch):
+    # the union-find runs once per graph, not once per check and prime
+    calls = []
+    original = graphs._component_labels
+
+    def counting(vertex_count, pairs):
+        calls.append(pairs)
+        return original(vertex_count, pairs)
+
+    monkeypatch.setattr(graphs, "_component_labels", counting)
+    g = named_graph("petersen")
+    exclusion_report(g, [2, 3, 5, 7], use_oracle=True)
+    assert sum(pairs is g.endpoints for pairs in calls) == 1
+    check_tutte_coefficients(g, 3)
+    assert sum(pairs is g.endpoints for pairs in calls) == 1
+    with pytest.raises(DisconnectedGraphError):
+        exclusion_report(DISCONNECTED, [2, 3])
 
 
 def test_exclusion_oracle_crosscheck_runs_clean():
