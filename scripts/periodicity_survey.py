@@ -20,12 +20,31 @@ from graphperiod.criteria import (
     check_tutte_quotient_congruence,
 )
 from graphperiod.families import connected_simple_graphs
+from graphperiod.polynomials import is_prime
 from graphperiod.symmetry import find_free_period, quotient_graph
+
+USAGE = "usage: python scripts/periodicity_survey.py [max_vertices] [primes...]"
+
+
+def parse_args(argv):
+    """(max_vertices, primes) from the command line; ValueError when they
+    are not a positive vertex count and primes."""
+    max_vertices = int(argv[1]) if len(argv) > 1 else 6
+    if max_vertices < 1:
+        raise ValueError(f"max_vertices must be at least 1, got {max_vertices}")
+    primes = tuple(int(a) for a in argv[2:]) or (2, 3, 5)
+    for p in primes:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not a prime")
+    return max_vertices, primes
 
 
 def main(argv):
-    max_vertices = int(argv[1]) if len(argv) > 1 else 6
-    primes = tuple(int(a) for a in argv[2:]) or (2, 3, 5)
+    try:
+        max_vertices, primes = parse_args(argv)
+    except ValueError as exc:
+        print(f"error: {exc}\n{USAGE}", file=sys.stderr)
+        return 2
 
     start = time.time()
     per_size = Counter()

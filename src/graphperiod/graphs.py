@@ -485,13 +485,16 @@ def _refine(n, adj, loops, colors):
         ncolors = new_count
 
 
-def _component_encoding(loops, adj):
-    """The minimum leaf encoding of a connected graph given as its loop
-    counts and adjacency map."""
+def _canonical_search(loops, adj):
+    """(encoding, automorphisms, twins) of a connected graph given as its
+    loop counts and adjacency map: the minimum leaf encoding, the vertex
+    maps the search found between leaves with equal encodings, and the
+    vertex pairs whose transposition it pruned with.  Every map and every
+    transposition is an automorphism of the graph."""
     n = len(adj)
     best = best_path = best_order = None
-    # vertex maps found between leaves with equal encodings: automorphisms
     automorphisms = []
+    twins = []
 
     def encode(order):
         position = [0] * n
@@ -568,6 +571,7 @@ def _component_encoding(loops, adj):
             for w in target[i + 1 :]:
                 if w not in reached and swappable(v, w):
                     reached.add(w)
+                    twins.append((v, w))
             split = [c * 2 + 1 for c in colors]
             split[v] -= 1
             resume = search(_refine(n, adj, loops, split), path + (v,))
@@ -576,7 +580,7 @@ def _component_encoding(loops, adj):
         return None
 
     search(_refine(n, adj, loops, [0] * n), ())
-    return best
+    return best, automorphisms, twins
 
 
 def _closure(points, maps):
@@ -599,7 +603,7 @@ def canonical_key(g: MultiGraph) -> bytes:
     """Exact canonical form: equal for isomorphic multigraphs, distinct
     otherwise.  Safe as a memoization key."""
     encodings = sorted(
-        _component_encoding(*_adjacency(c)) for c in component_subgraphs(g)
+        _canonical_search(*_adjacency(c))[0] for c in component_subgraphs(g)
     )
     return repr(encodings).encode()
 
@@ -607,4 +611,4 @@ def canonical_key(g: MultiGraph) -> bytes:
 def block_key(adj) -> bytes:
     """canonical_key of the connected, loopless graph of a map, read off the
     map: no component split and no second adjacency build."""
-    return repr([_component_encoding([0] * len(adj), adj)]).encode()
+    return repr([_canonical_search([0] * len(adj), adj)[0]]).encode()

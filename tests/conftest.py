@@ -278,6 +278,27 @@ def _full_search_encoding(g: MultiGraph):
     return best
 
 
+def first_seen_connected_simple_graphs(max_vertices: int):
+    """Independent oracle for connected_simple_graphs: every nonempty
+    neighbourhood of every parent is attached and keyed by canonical_key, and
+    the first graph of each class is kept, with no automorphisms used."""
+    level = [MultiGraph(1)]
+    yield level[0]
+    for n in range(2, max_vertices + 1):
+        seen = set()
+        grown = []
+        for g in level:
+            for mask in range(1, 1 << (n - 1)):
+                extra = tuple((v, n - 1) for v in range(n - 1) if mask >> v & 1)
+                candidate = MultiGraph(n, g.endpoints + extra)
+                key = canonical_key(candidate)
+                if key not in seen:
+                    seen.add(key)
+                    grown.append(candidate)
+                    yield candidate
+        level = grown
+
+
 # -- symmetric graphs, where colour refinement alone leaves large cells --------
 
 
