@@ -16,7 +16,6 @@ _EXPORTS = {
         "is_connected",
         "named_graph",
         "parse_edge_list",
-        "relabel",
         "render_edge_list",
     ),
     "polynomials": (
@@ -26,7 +25,6 @@ _EXPORTS = {
         "VariableMismatchError",
         "divide_exact_monomial",
         "is_prime",
-        "parse_polynomial",
         "power_mod",
         "reduce_mod_p",
         "substitute",
@@ -36,13 +34,11 @@ _EXPORTS = {
         "SubsetCapExceededError",
         "TuttePair",
         "chromatic_deletion_contraction",
-        "chromatic_from_negami",
         "clear_caches",
         "negami_from_tutte",
         "negami_polynomial",
         "negami_subset_expansion",
         "tutte_deletion_contraction",
-        "tutte_from_negami",
     ),
     "symmetry": (
         "Automorphism",

@@ -58,7 +58,7 @@ def load_graph(spec: str) -> tuple[MultiGraph, str]:
         params = []
         if raw_params:
             for chunk in raw_params.split(","):
-                if not chunk.isdigit():
+                if not chunk.isdecimal():
                     raise ValueError(
                         f"bad parameter {chunk!r} in graph spec {spec!r}"
                     )

@@ -15,7 +15,7 @@ classes and a block's canonical key work on the map.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, index
 
 
 # Largest graphs accepted from outside the program (files, named specs).
@@ -83,11 +83,20 @@ class MultiGraph(Frozen):
     _fields = ("vertex_count", "endpoints")
 
     def __init__(self, vertex_count: int, endpoints: tuple = ()):
+        # operator.index takes ints (bools as 0 and 1) and refuses floats
+        # and strings, which would fail later as list indices
+        try:
+            vertex_count = index(vertex_count)
+        except TypeError:
+            raise ValueError(f"vertex count {vertex_count!r} is not an integer") from None
         if vertex_count < 0:
             raise ValueError("vertex count must be non-negative")
         norm = []
-        for pair in endpoints:
-            u, v = pair
+        for u, v in endpoints:
+            try:
+                u, v = index(u), index(v)
+            except TypeError:
+                raise ValueError(f"edge endpoint in ({u!r}, {v!r}) is not an integer") from None
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(
                     f"edge endpoint out of range: ({u}, {v}) with "
@@ -139,7 +148,7 @@ def parse_edge_list(text: str) -> MultiGraph:
             continue
         fields = line.split()
         if vertex_count is None:
-            if fields[0] != "n" or len(fields) != 2 or not fields[1].isdigit():
+            if fields[0] != "n" or len(fields) != 2 or not fields[1].isdecimal():
                 raise GraphFormatError(
                     f"line {lineno}: expected 'n <vertex count>' header, got {line!r}"
                 )
@@ -150,7 +159,7 @@ def parse_edge_list(text: str) -> MultiGraph:
             raise GraphFormatError(
                 f"line {lineno}: expected 'e <u> <v>', got {line!r}"
             )
-        if not (fields[1].isdigit() and fields[2].isdigit()):
+        if not (fields[1].isdecimal() and fields[2].isdecimal()):
             raise GraphFormatError(
                 f"line {lineno}: endpoints must be non-negative integers, got {line!r}"
             )
@@ -292,24 +301,6 @@ def component_subgraphs(g: MultiGraph):
         )
         pieces.append(_trusted(len(vmap), edges))
     return pieces
-
-
-def relabel(g: MultiGraph, vertex_perm, edge_perm=None) -> MultiGraph:
-    """Isomorphic copy: vertex v becomes vertex_perm[v], edge e becomes
-    edge id edge_perm[e] (identity if omitted)."""
-    vp = tuple(vertex_perm)
-    if sorted(vp) != list(range(g.vertex_count)):
-        raise ValueError("vertex_perm is not a permutation of the vertices")
-    if edge_perm is None:
-        ep = tuple(range(g.edge_count))
-    else:
-        ep = tuple(edge_perm)
-        if sorted(ep) != list(range(g.edge_count)):
-            raise ValueError("edge_perm is not a permutation of the edges")
-    new_endpoints = [None] * g.edge_count
-    for e, (u, v) in enumerate(g.endpoints):
-        new_endpoints[ep[e]] = (vp[u], vp[v])
-    return MultiGraph(g.vertex_count, tuple(new_endpoints))
 
 
 # -- adjacency maps --------------------------------------------------------

@@ -8,7 +8,6 @@ every operation returns a new object.
 
 from __future__ import annotations
 
-import re
 from operator import add
 
 
@@ -137,19 +136,6 @@ class Polynomial:
 
     def coefficient(self, exps) -> int:
         return self.terms.get(tuple(exps), 0)
-
-    def evaluate(self, values: dict) -> int:
-        missing = [v for v in self.variables if v not in values]
-        if missing:
-            raise ValueError(f"no value for variables {missing}")
-        total = 0
-        for exps, coeff in self.terms.items():
-            prod = coeff
-            for name, e in zip(self.variables, exps):
-                if e:
-                    prod *= values[name] ** e
-            total += prod
-        return total
 
     # -- ring operations -----------------------------------------------
 
@@ -451,8 +437,6 @@ def divide_exact_monomial(a: Polynomial, monomial: dict) -> Polynomial:
 
 # -- text form ---------------------------------------------------------
 
-_TOKEN = re.compile(r"(\d+)|([^\W\d]\w*)|([+\-*^])|(\S)", re.UNICODE)
-
 
 def render_monomial(variables, exps) -> str:
     """Render one monomial with coefficient 1: ``^`` for powers, ``*``
@@ -484,80 +468,3 @@ def render_terms(variables, terms) -> str:
     for negative, body in pieces[1:]:
         out += (" - " if negative else " + ") + body
     return out
-
-
-def parse_polynomial(text: str, variables) -> Polynomial:
-    """Parse the textual polynomial grammar produced by render_terms."""
-    variables = tuple(variables)
-    index = {name: i for i, name in enumerate(variables)}
-    width = len(variables)
-
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        number, name, op, junk = m.groups()
-        if junk:
-            raise ValueError(f"unexpected character {junk!r} in polynomial")
-        if number is not None:
-            tokens.append(("int", int(number)))
-        elif name is not None:
-            tokens.append(("var", name))
-        else:
-            tokens.append(("op", op))
-    tokens.append(("end", None))
-
-    pos = 0
-
-    def peek():
-        return tokens[pos]
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_factor(exps):
-        kind, value = take()
-        if kind == "int":
-            return value
-        if kind == "var":
-            if value not in index:
-                raise ValueError(f"unknown variable {value!r}")
-            e = 1
-            if peek() == ("op", "^"):
-                take()
-                kind2, value2 = take()
-                if kind2 != "int":
-                    raise ValueError("expected integer exponent after '^'")
-                e = value2
-            exps[index[value]] += e
-            return 1
-        raise ValueError(f"unexpected token {value!r} in term")
-
-    table = {}
-    sign = 1
-    kind, value = peek()
-    if kind == "op" and value in "+-":
-        take()
-        sign = -1 if value == "-" else 1
-    while True:
-        exps = [0] * width
-        coeff = sign * parse_factor(exps)
-        while peek() == ("op", "*"):
-            take()
-            coeff *= parse_factor(exps)
-        key = tuple(exps)
-        acc = table.get(key, 0) + coeff
-        if acc:
-            table[key] = acc
-        elif key in table:
-            del table[key]
-        kind, value = peek()
-        if kind == "end":
-            break
-        if kind == "op" and value in "+-":
-            take()
-            sign = -1 if value == "-" else 1
-        else:
-            raise ValueError(f"expected '+' or '-' before {value!r}")
-    return Polynomial(variables, table)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations, product
 
 import pytest
@@ -21,13 +22,122 @@ from graphperiod.families import (
     loop_parallel_variants,
     random_multigraph,
 )
-from graphperiod.invariants import CHROMATIC_VARS
-from graphperiod.polynomials import ModPolynomial, Polynomial
+from graphperiod.invariants import CHROMATIC_VARS, TUTTE_SHIFTED_VARS
+from graphperiod.polynomials import ModPolynomial, Polynomial, substitute
 from graphperiod.symmetry import (
     Automorphism,
     automorphism_from_vertex_perm,
     enumerate_automorphisms,
 )
+
+
+# -- the fixture reader -----------------------------------------------------------
+
+_TOKEN = re.compile(r"(\d+)|([^\W\d]\w*)|([+\-*^])|(\S)", re.UNICODE)
+
+
+def parse_polynomial(text: str, variables) -> Polynomial:
+    """Parse the textual polynomial grammar produced by render_terms."""
+    variables = tuple(variables)
+    index = {name: i for i, name in enumerate(variables)}
+    width = len(variables)
+
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        number, name, op, junk = m.groups()
+        if junk:
+            raise ValueError(f"unexpected character {junk!r} in polynomial")
+        if number is not None:
+            tokens.append(("int", int(number)))
+        elif name is not None:
+            tokens.append(("var", name))
+        else:
+            tokens.append(("op", op))
+    tokens.append(("end", None))
+
+    pos = 0
+
+    def peek():
+        return tokens[pos]
+
+    def take():
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def parse_factor(exps):
+        kind, value = take()
+        if kind == "int":
+            return value
+        if kind == "var":
+            if value not in index:
+                raise ValueError(f"unknown variable {value!r}")
+            e = 1
+            if peek() == ("op", "^"):
+                take()
+                kind2, value2 = take()
+                if kind2 != "int":
+                    raise ValueError("expected integer exponent after '^'")
+                e = value2
+            exps[index[value]] += e
+            return 1
+        raise ValueError(f"unexpected token {value!r} in term")
+
+    table = {}
+    sign = 1
+    kind, value = peek()
+    if kind == "op" and value in "+-":
+        take()
+        sign = -1 if value == "-" else 1
+    while True:
+        exps = [0] * width
+        coeff = sign * parse_factor(exps)
+        while peek() == ("op", "*"):
+            take()
+            coeff *= parse_factor(exps)
+        key = tuple(exps)
+        acc = table.get(key, 0) + coeff
+        if acc:
+            table[key] = acc
+        elif key in table:
+            del table[key]
+        kind, value = peek()
+        if kind == "end":
+            break
+        if kind == "op" and value in "+-":
+            take()
+            sign = -1 if value == "-" else 1
+        else:
+            raise ValueError(f"expected '+' or '-' before {value!r}")
+    return Polynomial(variables, table)
+
+
+# -- Tutte and chromatic off the 2^q subset expansion -----------------------------
+
+
+def tutte_from_negami(n) -> Polynomial:
+    """Independent T(s, t) from a NegamiPolynomial, by the inverse of the
+    exponent relabel in negami_from_tutte: the term u^(w+i) x^(nullity+i-j)
+    y^(rank-i+j) of N is the term s^i t^j of T, with rank = r - w."""
+    w, rank = n.components, n.vertex_count - n.components
+    terms = {}
+    for (eu, _, ey), coeff in n.polynomial.terms.items():
+        terms[(eu - w, ey - rank + eu - w)] = coeff
+    return Polynomial(TUTTE_SHIFTED_VARS, terms)
+
+
+def chromatic_from_negami(n) -> Polynomial:
+    """(-1)^q N(λ, -1, 1): the subset-expansion route to the chromatic
+    polynomial (the sign pairs with the keep-Y expansion convention)."""
+    lam = Polynomial.variable(CHROMATIC_VARS, "λ")
+    value = substitute(n.polynomial, {"u": lam, "x": -1, "y": 1}, CHROMATIC_VARS)
+    if n.edge_count % 2:
+        value = -value
+    return value
+
+
+# -- small graphs and brute-force oracles -----------------------------------------
 
 
 def cycle_rotation(p: int):

@@ -28,15 +28,19 @@ from graphperiod.graphs import is_connected, named_graph
 from graphperiod.invariants import (
     TUTTE_SHIFTED_VARS,
     chromatic_deletion_contraction,
-    chromatic_from_negami,
     negami_polynomial,
     negami_subset_expansion,
     tutte_deletion_contraction,
+)
+from graphperiod.polynomials import reduce_mod_p
+from graphperiod.symmetry import enumerate_automorphisms, find_free_period
+from conftest import (
+    chromatic_from_negami,
+    count_spanning_trees,
+    cycle_rotation,
+    parse_polynomial,
     tutte_from_negami,
 )
-from graphperiod.polynomials import parse_polynomial, reduce_mod_p
-from graphperiod.symmetry import enumerate_automorphisms, find_free_period
-from conftest import count_spanning_trees, cycle_rotation
 
 PETERSEN_TUTTE_MOD5 = "s^4 + s^9 + 2*t + 2*s^5*t + s*t^2 + t^6"
 

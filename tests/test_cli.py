@@ -281,6 +281,13 @@ def test_unknown_graph_spec(capsys):
     assert code == 2 and "nosuchgraph" in err
 
 
+@pytest.mark.parametrize("spec", ["cycle:x", "cycle:²"])
+def test_bad_graph_parameter(capsys, spec):
+    # "²" passes str.isdigit() but not int()
+    code, _, err = run(capsys, "compute", "tutte", "--graph", spec)
+    assert code == 2 and "bad parameter" in err
+
+
 def test_non_prime_p_rejected(capsys):
     code, _, err = run(capsys, "check", "cor1.2", "--graph", "cycle:4", "--p", "4")
     assert code == 2 and "prime" in err

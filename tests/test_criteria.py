@@ -11,7 +11,6 @@ from graphperiod.invariants import (
     negami_polynomial,
     negami_subset_expansion,
     tutte_deletion_contraction,
-    tutte_from_negami,
 )
 from graphperiod.criteria import (
     REPORT_SCHEMA,
@@ -30,7 +29,7 @@ from graphperiod.criteria import (
     render_report,
 )
 from graphperiod.symmetry import find_free_period
-from conftest import cycle_rotation
+from conftest import cycle_rotation, tutte_from_negami
 
 PETERSEN = named_graph("petersen")
 FRUCHT = named_graph("frucht")

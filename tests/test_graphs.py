@@ -31,7 +31,6 @@ from graphperiod.graphs import (
     delete_edges,
     named_graph,
     parse_edge_list,
-    relabel,
     render_edge_list,
     submap,
 )
@@ -47,6 +46,26 @@ from conftest import (
     shrikhande,
     symmetric_graphs,
 )
+
+
+# -- construction -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "vertex_count,endpoints",
+    [(2.5, ()), ("2", ()), (2, ((0, 1.0),)), (2, (("0", "1"),)), (2, ((0, None),))],
+)
+def test_multigraph_refuses_non_integers(vertex_count, endpoints):
+    with pytest.raises(ValueError, match="not an integer"):
+        MultiGraph(vertex_count, endpoints)
+
+
+def test_multigraph_normalises_integer_likes():
+    # bools become the ints 0 and 1
+    g = MultiGraph(True, ((False, False),))
+    assert repr(g) == "MultiGraph(1, [(0, 0)])"
+    assert type(g.vertex_count) is int and type(g.endpoints[0][0]) is int
+    assert MultiGraph(3, ((True, 2), (2, 0))).endpoints == ((1, 2), (0, 2))
 
 
 # -- parsing ------------------------------------------------------------------
@@ -81,6 +100,8 @@ def test_parse_comments_and_blank_lines():
         ("n 2\ne 0 2", "line 2"),
         ("n 2\ne 0", "line 2"),
         ("# nothing\n", "missing"),
+        # a superscript digit passes str.isdigit() but not int()
+        ("n 2\ne 0 ¹", "line 2"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment):
@@ -312,7 +333,7 @@ def test_block_key_is_the_canonical_key_of_a_block():
 def test_canonical_key_c3_all_labelings():
     c3 = named_graph("cycle", 3)
     keys = {
-        canonical_key(relabel(c3, perm))
+        canonical_key(MultiGraph(3, tuple((perm[u], perm[v]) for u, v in c3.endpoints)))
         for perm in itertools.permutations(range(3))
     }
     assert len(keys) == 1
@@ -349,11 +370,7 @@ def multigraphs(draw):
 @settings(max_examples=100, deadline=None)
 @given(multigraphs(), st.randoms(use_true_random=False))
 def test_canonical_key_relabeling_invariance(g, rnd):
-    vperm = list(range(g.vertex_count))
-    eperm = list(range(g.edge_count))
-    rnd.shuffle(vperm)
-    rnd.shuffle(eperm)
-    assert canonical_key(g) == canonical_key(relabel(g, vperm, eperm))
+    assert canonical_key(g) == canonical_key(_shuffled_copy(g, rnd))
 
 
 @settings(max_examples=60, deadline=None)
@@ -373,11 +390,16 @@ def test_delete_contract_commute_up_to_isomorphism(g, data):
 
 
 def _shuffled_copy(g: MultiGraph, rng: random.Random) -> MultiGraph:
+    """An isomorphic copy: vertex v becomes vperm[v], edge e moves to
+    position eperm[e]."""
     vperm = list(range(g.vertex_count))
     eperm = list(range(g.edge_count))
     rng.shuffle(vperm)
     rng.shuffle(eperm)
-    return relabel(g, vperm, eperm)
+    endpoints = [None] * g.edge_count
+    for e, (u, v) in enumerate(g.endpoints):
+        endpoints[eperm[e]] = (vperm[u], vperm[v])
+    return MultiGraph(g.vertex_count, tuple(endpoints))
 
 
 def _doubled(g: MultiGraph) -> MultiGraph:

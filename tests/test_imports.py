@@ -16,24 +16,22 @@ import graphperiod
 
 SRC = Path(graphperiod.__file__).resolve().parents[1]
 
-# every name graphperiod/__init__.py imported eagerly before its names
-# became lazy
+# the package's public names, by the module that defines them
 PUBLIC = {
     "graphs": [
         "GraphFormatError", "MultiGraph", "canonical_key", "component_count",
         "component_subgraphs", "is_connected", "named_graph", "parse_edge_list",
-        "relabel", "render_edge_list",
+        "render_edge_list",
     ],
     "polynomials": [
         "ModPolynomial", "NonDivisibleTermError", "Polynomial",
         "VariableMismatchError", "divide_exact_monomial", "is_prime",
-        "parse_polynomial", "power_mod", "reduce_mod_p", "substitute",
+        "power_mod", "reduce_mod_p", "substitute",
     ],
     "invariants": [
         "NegamiPolynomial", "SubsetCapExceededError", "TuttePair",
-        "chromatic_deletion_contraction", "chromatic_from_negami", "clear_caches",
-        "negami_from_tutte", "negami_polynomial", "negami_subset_expansion",
-        "tutte_deletion_contraction", "tutte_from_negami",
+        "chromatic_deletion_contraction", "clear_caches", "negami_from_tutte",
+        "negami_polynomial", "negami_subset_expansion", "tutte_deletion_contraction",
     ],
     "symmetry": [
         "Automorphism", "NotAFreePeriodError", "OracleLimitError", "QuotientMap",

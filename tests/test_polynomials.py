@@ -13,14 +13,13 @@ from graphperiod.polynomials import (
     VariableMismatchError,
     divide_exact_monomial,
     is_prime,
-    parse_polynomial,
     power_mod,
     reduce_mod_p,
     render_monomial,
     render_terms,
     substitute,
 )
-from conftest import power_by_multiplication
+from conftest import parse_polynomial, power_by_multiplication
 
 XY = ("x", "y")
 ST = ("s", "t")
@@ -291,7 +290,7 @@ def test_reduce_is_additive(a, b, p):
     assert reduce_mod_p(a + b, p) == reduce_mod_p(a, p) + reduce_mod_p(b, p)
 
 
-# -- rendering and parsing --------------------------------------------------------
+# -- rendering, read back by the fixture reader in conftest -----------------------
 
 
 def test_render_matches_display_convention():
