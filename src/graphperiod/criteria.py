@@ -204,8 +204,11 @@ def _report(criterion, g, p, graph_label, terms, variables, *notes) -> Criterion
 # -- criteria on the graph alone ---------------------------------------------
 
 
-def check_negami_shape(g, p, *, graph_label=None, negami=None) -> CriterionReport:
-    """Surviving monomials of N mod p must have y-exponent == 0 (mod p)."""
+def check_negami_shape(
+    g, p, *, graph_label=None, negami=None, notes=()
+) -> CriterionReport:
+    """Surviving monomials of N mod p must have y-exponent == 0 (mod p).
+    ``notes`` follow the check's own note."""
     _require_connected(g, "thm1.1")
     if negami is None:
         negami = negami_polynomial(g)
@@ -216,12 +219,16 @@ def check_negami_shape(g, p, *, graph_label=None, negami=None) -> CriterionRepor
         if exps[2] % p != 0
     }
     return _report(
-        "thm1.1", g, p, graph_label, bad, reduced.variables, f"q = {negami.edge_count}"
+        "thm1.1", g, p, graph_label, bad, reduced.variables,
+        f"q = {negami.edge_count}", *notes,
     )
 
 
-def check_tutte_coefficients(g, p, *, graph_label=None, tutte=None) -> CriterionReport:
-    """Surviving a_{ij} of T(s,t) mod p must satisfy j - i == 1 - r (mod p)."""
+def check_tutte_coefficients(
+    g, p, *, graph_label=None, tutte=None, notes=()
+) -> CriterionReport:
+    """Surviving a_{ij} of T(s,t) mod p must satisfy j - i == 1 - r (mod p).
+    ``notes`` follow the check's own note."""
     _require_connected(g, "cor1.2")
     if tutte is None:
         tutte = tutte_deletion_contraction(g).shifted
@@ -233,7 +240,7 @@ def check_tutte_coefficients(g, p, *, graph_label=None, tutte=None) -> Criterion
         if (exps[1] - exps[0] - (1 - r)) % p != 0
     }
     note = f"r = {r}, required j - i == {(1 - r) % p} (mod {p})"
-    return _report("cor1.2", g, p, graph_label, bad, reduced.variables, note)
+    return _report("cor1.2", g, p, graph_label, bad, reduced.variables, note, *notes)
 
 
 def check_selfdual_vertex_count(
@@ -373,38 +380,32 @@ def exclusion_report(
             skipped = f"oracle: skipped, {exc}"
     reports = []
     for p in sorted(set(primes)):
-        per_prime = [
-            check_tutte_coefficients(g, p, graph_label=label, tutte=tutte),
-            check_negami_shape(g, p, graph_label=label, negami=negami),
-        ]
+        witness, notes = None, ()
         if use_oracle:
-            oracle_note = skipped or _oracle_note(g, p, root, per_prime)
-            per_prime = [
-                CriterionReport(
-                    r.criterion, r.graph, r.p, r.verdict, r.notes + (oracle_note,),
-                    r.variables, r.terms,
-                )
-                for r in per_prime
-            ]
+            witness, note = (None, skipped) if skipped else _oracle_search(g, p, root)
+            notes = (note,)
+        per_prime = [
+            check_tutte_coefficients(g, p, graph_label=label, tutte=tutte, notes=notes),
+            check_negami_shape(g, p, graph_label=label, negami=negami, notes=notes),
+        ]
+        if witness is not None and any(r.verdict == "fail" for r in per_prime):
+            raise SoundnessError(
+                f"free period of order {p} found although the "
+                f"criteria exclude it: {witness.to_dict()}"
+            )
         reports.extend(per_prime)
     reports.sort(key=lambda r: (r.graph, r.p, r.criterion))
     return reports
 
 
-def _oracle_note(g, p, root, reports) -> str:
-    """The oracle's note on the reports at p: whether the free-period
-    search from ``root`` found a period, or why it gave up.  A period found
-    although a report excludes p raises SoundnessError."""
+def _oracle_search(g, p, root):
+    """The free period of order p that the search from ``root`` finds, or
+    None, and the oracle's note: whether it found one, or why it gave up."""
     try:
         witness = _first_free_period(g, p, root)
     except OracleLimitError as exc:
-        return f"oracle: skipped, {exc}"
-    if witness is not None and any(r.verdict == "fail" for r in reports):
-        raise SoundnessError(
-            f"free period of order {p} found although the "
-            f"criteria exclude it: {witness.to_dict()}"
-        )
-    return f"oracle: free period of order {p} " + (
+        return None, f"oracle: skipped, {exc}"
+    return witness, f"oracle: free period of order {p} " + (
         "found" if witness is not None else "not found"
     )
 

@@ -92,7 +92,11 @@ class MultiGraph(Frozen):
         if vertex_count < 0:
             raise ValueError("vertex count must be non-negative")
         norm = []
-        for u, v in endpoints:
+        for pair in endpoints:
+            try:
+                u, v = pair
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {pair!r} is not a pair of endpoints") from None
             try:
                 u, v = index(u), index(v)
             except TypeError:
@@ -194,7 +198,12 @@ def named_graph(name: str, *params: int) -> MultiGraph:
     """Build one of NAMED_GRAPHS: empty n, path n, cycle n, complete n,
     theta k, petersen, frucht.  Parameters count vertices (theta counts edges).
     Sizes beyond MAX_VERTICES / MAX_EDGES raise GraphTooLargeError before
-    any edge is built."""
+    any edge is built; a parameter that is not an integer raises
+    ValueError."""
+    try:
+        params = tuple(index(p) for p in params)
+    except TypeError:
+        raise ValueError(f"{name!r} parameters must be integers, got {params!r}") from None
 
     def need(count):
         if len(params) != count:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from graphperiod import graphs
+from graphperiod import criteria, graphs
 from graphperiod.families import random_multigraph
 from graphperiod.graphs import is_connected, named_graph, parse_edge_list
 from graphperiod.invariants import (
@@ -267,6 +267,21 @@ def test_exclusion_oracle_crosscheck_runs_clean():
     # petersen carries free 3- and 5-periods but every involution fixes an edge
     reports = exclusion_report(PETERSEN, [2, 3, 5], use_oracle=True)
     assert excluded_primes(reports) == [2]
+
+
+def test_exclusion_oracle_contradiction_raises(monkeypatch):
+    # a cor1.2 stand-in that fails every report: C5's rotation is a free
+    # period of order 5, so the oracle must refuse the exclusion
+    real = criteria.check_tutte_coefficients
+
+    def failing(g, p, **kwargs):
+        r = real(g, p, **kwargs)
+        return CriterionReport(r.criterion, r.graph, r.p, "fail", r.notes)
+
+    monkeypatch.setattr(criteria, "check_tutte_coefficients", failing)
+    with pytest.raises(SoundnessError, match="free period of order 5 found"):
+        exclusion_report(named_graph("cycle", 5), [5], use_oracle=True)
+    assert excluded_primes(exclusion_report(named_graph("cycle", 5), [5])) == [5]
 
 
 def _connected_random_multigraphs(count):

@@ -60,6 +60,17 @@ def test_multigraph_refuses_non_integers(vertex_count, endpoints):
         MultiGraph(vertex_count, endpoints)
 
 
+def test_multigraph_refuses_an_edge_that_is_not_a_pair():
+    with pytest.raises(ValueError, match="not a pair of endpoints"):
+        MultiGraph(2, (5,))
+
+
+@pytest.mark.parametrize("param", [2.5, "3"])
+def test_named_graph_refuses_non_integers(param):
+    with pytest.raises(ValueError, match="must be integers"):
+        named_graph("cycle", param)
+
+
 def test_multigraph_normalises_integer_likes():
     # bools become the ints 0 and 1
     g = MultiGraph(True, ((False, False),))

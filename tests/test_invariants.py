@@ -38,7 +38,9 @@ from conftest import (
     count_spanning_trees,
     delete_edge_ids,
     dodecahedron,
+    ladder,
     parse_polynomial,
+    tutte_from_negami,
 )
 
 
@@ -281,6 +283,44 @@ def test_memo_entries_belong_to_blocks():
         entries = dict(shared)
         compute(glued, cache=shared)
         assert shared == entries
+
+
+@pytest.mark.parametrize("tutte_first", [True, False], ids=["tutte-first", "chromatic-first"])
+def test_one_cache_equals_fresh_caches_on_random_multigraphs(tutte_first):
+    rng = random.Random(20261019)
+    graphs = [random_multigraph(rng, max_vertices=9, max_edges=18) for _ in range(120)]
+    expected = [
+        (tutte_deletion_contraction(g, cache={}), chromatic_deletion_contraction(g, cache={}))
+        for g in graphs
+    ]
+    shared = {}
+    for g, pair in zip(graphs, expected):
+        if tutte_first:
+            tutte = tutte_deletion_contraction(g, cache=shared)
+            chromatic = chromatic_deletion_contraction(g, cache=shared)
+        else:
+            chromatic = chromatic_deletion_contraction(g, cache=shared)
+            tutte = tutte_deletion_contraction(g, cache=shared)
+        assert (tutte, chromatic) == pair, g
+
+
+def test_labelled_key_keeps_multiplicities_and_the_line():
+    # two diamonds, one with the class 0-1 doubled: their maps differ in one
+    # multiplicity, and each has a series path through vertex 3, so both
+    # are looked up by their labelled maps; on y = 0 the two maps agree
+    diamond = MultiGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2)))
+    doubled = MultiGraph(4, ((0, 1),) + diamond.endpoints)
+    calls = [
+        (compute, g)
+        for g in (diamond, doubled)
+        for compute in (tutte_deletion_contraction, chromatic_deletion_contraction)
+    ]
+    expected = [compute(g, cache={}) for compute, g in calls]
+    assert expected[0] != expected[2]
+    for order in (calls, calls[::-1]):
+        shared = {}
+        got = {(compute, g): compute(g, cache=shared) for compute, g in order}
+        assert [got[call] for call in calls] == expected
 
 
 def test_trusted_results_pass_the_public_checks():
@@ -529,3 +569,25 @@ def test_dodecahedron_evaluations():
     tau = tutte_deletion_contraction(g, cache={}).classic
     assert substitute(tau, {"x": 1, "y": 1}) == 5_184_000  # spanning trees
     assert substitute(tau, {"x": 2, "y": 2}) == 2**30  # edge subsets
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_ladder_matches_subset_expansion(k):
+    g = ladder(k)
+    expected = tutte_from_negami(negami_subset_expansion(g))
+    assert tutte_deletion_contraction(g, cache={}).shifted == expected
+
+
+def test_ladder_spanning_trees_oracle():
+    # OEIS A001353: t(L_k) = 4 t(L_(k-1)) - t(L_(k-2))
+    assert [count_spanning_trees(ladder(k)) for k in range(1, 6)] == [1, 4, 15, 56, 209]
+
+
+@pytest.mark.parametrize("k", [30, 60])
+def test_long_ladder(k):
+    # every rung is a 2-vertex cut; the series-path minors recur across
+    # branches, so each is computed once under its labelled map
+    g = ladder(k)
+    shifted = tutte_deletion_contraction(g, cache={}).shifted
+    assert shifted.coefficient((0, 0)) == count_spanning_trees(g)
+    assert sum(shifted.terms.values()) == 2**g.edge_count
