@@ -8,15 +8,17 @@
 set -e
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
+# the graph files and error output go to one directory, removed on exit
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
 timeout 60 python -m graphperiod.cli oracle find-period --graph complete:12 --p 11
 timeout 60 python -m graphperiod.cli compute tutte --graph path:2000 > /dev/null
 timeout 60 python -m graphperiod.cli compute tutte --graph cycle:1000 > /dev/null
 timeout 60 python -m graphperiod.cli compute chromatic --graph cycle:5000 > /dev/null
-digons=$(mktemp -d)
-python -c 'print("n 301"); [print("e", v, v + 1) for v in range(300) for _ in range(2)]' > "$digons/chain.graph"
-python -c 'print("n 100"); [print("e", v, (v + 1) % 100) for v in range(100) for _ in range(2)]' > "$digons/necklace.graph"
-timeout 60 python -m graphperiod.cli compute tutte --graph "$digons/chain.graph" > /dev/null
-timeout 60 python -m graphperiod.cli compute tutte --graph "$digons/necklace.graph" > /dev/null
+python -c 'print("n 301"); [print("e", v, v + 1) for v in range(300) for _ in range(2)]' > "$work/chain.graph"
+python -c 'print("n 100"); [print("e", v, (v + 1) % 100) for v in range(100) for _ in range(2)]' > "$work/necklace.graph"
+timeout 60 python -m graphperiod.cli compute tutte --graph "$work/chain.graph" > /dev/null
+timeout 60 python -m graphperiod.cli compute tutte --graph "$work/necklace.graph" > /dev/null
 status=0
 timeout 60 python -m graphperiod.cli oracle automorphisms --graph complete:12 || status=$?
 echo "oracle automorphisms exited $status"
@@ -37,23 +39,21 @@ status=0
 timeout 60 python -m graphperiod.cli check cor1.2 --graph cycle:5 --p 1000000000000000003 || status=$?
 echo "check at the prime 10^18 + 3 exited $status"
 test "$status" -eq 1
-fan=$(mktemp -d)
-python -c 'print("n 1000"); [print("e 0", v) for v in range(1, 1000)]; [print("e", v, v + 1) for v in range(1, 999)]' > "$fan/fan.graph"
+python -c 'print("n 1000"); [print("e 0", v) for v in range(1, 1000)]; [print("e", v, v + 1) for v in range(1, 999)]' > "$work/fan.graph"
 status=0
-timeout 60 python -m graphperiod.cli compute chromatic --graph "$fan/fan.graph" > /dev/null 2> "$fan/err" || status=$?
+timeout 60 python -m graphperiod.cli compute chromatic --graph "$work/fan.graph" > /dev/null 2> "$work/fan.err" || status=$?
 echo "chromatic of a 1000-vertex fan exited $status"
-cat "$fan/err"
+cat "$work/fan.err"
 test "$status" -eq 0 -o "$status" -eq 2
-if grep -q "internal error" "$fan/err"; then exit 1; fi
-ladder=$(mktemp -d)
+if grep -q "internal error" "$work/fan.err"; then exit 1; fi
 for k in 60 700; do
-    python -c 'import sys; k = int(sys.argv[1]); print("n", 2 * k); [print("e", v, v + k) for v in range(k)]; [print("e", v, v + 1) for s in (0, k) for v in range(s, s + k - 1)]' "$k" > "$ladder/L$k.graph"
+    python -c 'import sys; k = int(sys.argv[1]); print("n", 2 * k); [print("e", v, v + k) for v in range(k)]; [print("e", v, v + 1) for s in (0, k) for v in range(s, s + k - 1)]' "$k" > "$work/L$k.graph"
 done
 # the 60-rung ladder must finish: its series-path minors recur and are memoized
-timeout 60 python -m graphperiod.cli compute tutte --graph "$ladder/L60.graph" > /dev/null
+timeout 60 python -m graphperiod.cli compute tutte --graph "$work/L60.graph" > /dev/null
 status=0
-timeout 60 python -m graphperiod.cli compute tutte --graph "$ladder/L700.graph" > /dev/null 2> "$ladder/err" || status=$?
+timeout 60 python -m graphperiod.cli compute tutte --graph "$work/L700.graph" > /dev/null 2> "$work/ladder.err" || status=$?
 echo "tutte of a 700-rung ladder exited $status"
-cat "$ladder/err"
+cat "$work/ladder.err"
 test "$status" -eq 0 -o "$status" -eq 2
-if grep -q "internal error" "$ladder/err"; then exit 1; fi
+if grep -q "internal error" "$work/ladder.err"; then exit 1; fi

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from itertools import chain
 
 # canonical_key is not called here, but the benchmark's tracer
 # (perfbench/spans.py) wraps it on this module by name, so it stays imported.
@@ -42,11 +41,9 @@ def connected_simple_graphs(max_vertices: int):
                 for v in neighbours:
                     candidate[v] = {**adj[v], new: 1}
                 candidate.append(dict.fromkeys(neighbours, 1))
-                encoding, maps, twins = _canonical_search([0] * n, candidate)
-                # n and the loop counts are the same on a level, so the edge
-                # rows tell the classes apart; as bytes (every entry is below
-                # n, far below 256) they take a fraction of the tuples' memory
-                key = bytes(chain.from_iterable(encoding[2]))
+                # the canonical key, the candidate's map as bytes in the
+                # order of the search's minimum leaf, tells the classes apart
+                key, maps, twins = _canonical_search([0] * n, candidate)
                 if key in seen:
                     continue
                 seen.add(key)

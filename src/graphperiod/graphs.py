@@ -9,7 +9,8 @@ immutable and hashable.
 
 The deletion-contraction recursion reads a graph as an adjacency map (see
 below); the block split, the deletion and contraction of whole parallel
-classes and a block's canonical key work on the map.
+classes and the exact keys (the map as bytes, in label or canonical order)
+work on the map.
 """
 
 from __future__ import annotations
@@ -437,15 +438,16 @@ def contract_edges(adj, pairs):
     return out, loops - sum(adj[u][v] for u, v in pairs)
 
 
-# -- exact canonical form -------------------------------------------------
+# -- exact keys ---------------------------------------------------------
 #
-# Isomorphic multigraphs must map to identical keys and non-isomorphic ones
-# to distinct keys: the key is the minimum adjacency encoding over all vertex
-# orderings consistent with iterated neighborhood refinement, computed per
-# connected component (component encodings commute with isomorphism, so the
-# sorted list of them is canonical for the whole graph).
+# A map's exact keys are the map itself, written as bytes by ``encoding``
+# with its vertices numbered in some order: the labelled key in their own
+# order, the canonical key in the order of the search's minimum leaf.
 #
-# The search individualises one vertex of the first non-singleton cell at a
+# The canonical key is the minimum encoding over the vertex orderings
+# consistent with iterated neighbourhood refinement of the whole graph, so
+# isomorphic multigraphs get equal keys and others distinct ones.  The
+# search individualises one vertex of the first non-singleton cell at a
 # time.  Two leaves with equal encodings give an automorphism (the map from
 # one leaf order to the other); it fixes the two paths' common prefix, so
 # the search jumps back to where they diverge, and a node skips every child
@@ -453,6 +455,34 @@ def contract_edges(adj, pairs):
 # twin transpositions) that fix its prefix (after McKay & Piperno,
 # "Practical graph isomorphism, II", 2014).  Skipped subtrees are images of
 # explored ones, so the minimum, and the key, is that of the full search.
+
+
+def encoding(adj, loops, order) -> bytes:
+    """The map adj with loops[v] loops at each vertex v, its vertices
+    numbered 0, 1, ... in ``order``, as bytes: n, then every edge class as
+    (i, j, multiplicity) with i <= j, in ascending order (a loop class is
+    (i, i, k)).  The numbers are little-endian words of the fewest bytes,
+    1, 2 or 4, that hold the largest, and a first word gives that size, so
+    the bytes of two maps are equal only if the maps are."""
+    position = [0] * len(adj)
+    for i, v in enumerate(order):
+        position[v] = i
+    words = [1, len(adj)]
+    place = position.__getitem__
+    for i, v in enumerate(order):
+        if loops[v]:
+            words += (i, i, loops[v])
+        row = adj[v]
+        for w in sorted(row, key=place):
+            j = position[w]
+            if j > i:
+                words += (i, j, row[w])
+    try:
+        return bytes(words)
+    except ValueError:
+        # a number of 256 or more: words of 2 or 4 bytes
+        words[0] = size = 2 if max(words) < 65536 else 4
+        return b"".join(w.to_bytes(size, "little") for w in words)
 
 
 def _refine(n, adj, loops, colors):
@@ -486,30 +516,15 @@ def _refine(n, adj, loops, colors):
 
 
 def _canonical_search(loops, adj):
-    """(encoding, automorphisms, twins) of a connected graph given as its
-    loop counts and adjacency map: the minimum leaf encoding, the vertex
-    maps the search found between leaves with equal encodings, and the
-    vertex pairs whose transposition it pruned with.  Every map and every
-    transposition is an automorphism of the graph."""
+    """(key, automorphisms, twins) of a graph given as its loop counts and
+    adjacency map: the minimum leaf encoding, which is its canonical key,
+    the vertex maps the search found between leaves with equal encodings,
+    and the vertex pairs whose transposition it pruned with.  Every map and
+    every transposition is an automorphism of the graph."""
     n = len(adj)
     best = best_path = best_order = None
     automorphisms = []
     twins = []
-
-    def encode(order):
-        position = [0] * n
-        for i, v in enumerate(order):
-            position[v] = i
-        loops_vec = tuple(loops[v] for v in order)
-        rows = []
-        for v in order:
-            iv = position[v]
-            for u, mult in adj[v].items():
-                iu = position[u]
-                if iv < iu:
-                    rows.append((iv, iu, mult))
-        rows.sort()
-        return (n, loops_vec, tuple(rows))
 
     def swappable(u, v):
         # transposing u and v is an automorphism: identical multiplicity
@@ -534,7 +549,7 @@ def _canonical_search(loops, adj):
                 break
         if target is None:
             order = sorted(range(n), key=colors.__getitem__)
-            enc = encode(order)
+            enc = encoding(adj, loops, order)
             if best is None or enc < best:
                 best, best_path, best_order = enc, path, order
                 return None
@@ -600,15 +615,7 @@ def _closure(points, maps):
 
 
 def canonical_key(g: MultiGraph) -> bytes:
-    """Exact canonical form: equal for isomorphic multigraphs, distinct
-    otherwise.  Safe as a memoization key."""
-    encodings = sorted(
-        _canonical_search(*_adjacency(c))[0] for c in component_subgraphs(g)
-    )
-    return repr(encodings).encode()
-
-
-def block_key(adj) -> bytes:
-    """canonical_key of the connected, loopless graph of a map, read off the
-    map: no component split and no second adjacency build."""
-    return repr([_canonical_search([0] * len(adj), adj)[0]]).encode()
+    """Exact canonical form, the graph's ``encoding`` in the order of its
+    canonical search's minimum leaf: equal for isomorphic multigraphs,
+    distinct otherwise.  Safe as a memoization key."""
+    return _canonical_search(*_adjacency(g))[0]

@@ -6,12 +6,13 @@ Three invariants of a multigraph G with r vertices, q edges and w components:
   recursion (after Haggard, Pearce & Royle, "Computing Tutte polynomials",
   ACM TOMS 37, 2010): tau is multiplicative over blocks, so components, cut
   vertices, loops (y) and bridges (x) are one split; two-vertex blocks and
-  cycles have closed forms.  Every other block is memoized on its exact
-  labelled map, so a block that recurs, as the minors of a ladder's maximal
-  series paths do, is computed once.  A series path P of k edges gives
+  cycles have closed forms.  Every other block is memoized under its map
+  written as bytes (``graphs.encoding``) in label order, so a block that
+  recurs, as the minors of a ladder's maximal series paths do, is computed
+  once.  A series path P of k edges gives
   (1 + ... + x^(k-1)) tau(G - P) + tau(G / P); a block without one is
-  memoized on its exact canonical form as well, so isomorphic blocks share
-  a value, and split on a whole parallel class.
+  memoized under the same bytes in canonical order as well, so isomorphic
+  blocks share a value, and split on a whole parallel class.
   The recursion reads each graph as one adjacency map,
   vertex -> {neighbour: multiplicity} (``graphs._adjacency``, built once
   per call), so a parallel class is one entry, and splits, deletes and
@@ -62,7 +63,7 @@ from .graphs import (
     Frozen,
     MultiGraph,
     _adjacency,
-    block_key,
+    _canonical_search,
     blocks,
     # not called here: the benchmark's tracer (perfbench/spans.py) wraps
     # this module's canonical_key, so the name stays importable from it
@@ -70,6 +71,7 @@ from .graphs import (
     component_count,
     contract_edges,
     delete_edges,
+    encoding,
     submap,
 )
 from .polynomials import (
@@ -273,16 +275,18 @@ def _tau_block(adj, memo, layout) -> int:
     series path and a split run under the block's own layout, which its
     minors share, and the result moves into ``layout`` once.
 
-    Every other block is memoized under its exact labelled map (and split
-    blocks under their canonical key as well).  The map determines the
-    block, hence tau; the map and the line determine the own layout, which
-    is (W, 1) on y = 0 and has D >= 3 otherwise (q > n here), so the key
-    (own layout, labelled map) determines the packed value exactly and keeps
-    the Tutte and chromatic lines apart in one dict.  Deletion keeps labels
-    and ``submap`` renumbers a block by its sorted vertices, so the same
-    labelled block recurs across the branches of one call and across
-    calls; the canonical key, dearer, is taken only on a labelled miss and
-    lets isomorphic blocks share a value."""
+    Every other block is memoized under its map as bytes in label order,
+    and a split block also under its canonical key: the same bytes in the
+    order of its canonical search's minimum leaf.  Both keys are one
+    encoding, so equal bytes mean equal maps, hence equal tau; the map and
+    the line determine the own layout, which is (W, 1) on y = 0 and has
+    D >= 3 otherwise (q > n here), so the key (own layout, bytes)
+    determines the packed value exactly and keeps the Tutte and chromatic
+    lines apart in one dict.  Deletion keeps labels and ``submap``
+    renumbers a block by its sorted vertices, so the same labelled block
+    recurs across the branches of one call and across calls; the canonical
+    key, dearer, is taken only on a labelled miss and lets isomorphic
+    blocks share a value."""
     width, depth = layout
     y_zero = depth == 1
     x = 1 << width * depth
@@ -304,7 +308,8 @@ def _tau_block(adj, memo, layout) -> int:
     # the memo holds each block under its own layout, so an entry is the
     # size of its block and serves every graph that has the block
     own = _layout(n, q, y_zero)
-    labelled = (own, _labelled(adj, q))
+    loopless = [0] * n
+    labelled = (own, encoding(adj, loopless, range(n)))
     cached = memo.get(labelled)
     if cached is not None:
         return _repack(cached, own, layout)
@@ -316,7 +321,7 @@ def _tau_block(adj, memo, layout) -> int:
         joined = _tau(*contract_edges(adj, path), memo, own)
         cached = _ones(len(path), own[0] * own[1]) * rest + joined
     else:
-        key = (own, block_key(adj))
+        key = (own, _canonical_search(loopless, adj)[0])
         cached = memo.get(key)
         if cached is None:
             w = _default_chooser(adj)
@@ -329,22 +334,6 @@ def _tau_block(adj, memo, layout) -> int:
             memo[key] = cached
     memo[labelled] = cached
     return _repack(cached, own, layout)
-
-
-def _labelled(adj, q: int) -> bytes:
-    """The exact labelled map of a block with q edges on fewer than q
-    vertices: per row its length, then its (neighbour, multiplicity) pairs
-    in neighbour order.  Every number is at most q, so each is one word of
-    the fewest bytes that hold q; whether q < 256 or q < 65536 can be read
-    off W, so one layout has one word size.  Vertex 0 is a neighbour, so
-    the bytes hold a zero, which no canonical key (an ASCII repr) does:
-    the two kinds of key never meet."""
-    flat = []
-    for row in adj:
-        flat.append(len(row))
-        for item in sorted(row.items()):
-            flat += item
-    return array("B" if q < 256 else "H" if q < 65536 else "I", flat).tobytes()
 
 
 def _series_path(adj, degree):

@@ -13,7 +13,7 @@ from graphperiod.graphs import (
     _adjacency,
     _refine,
     canonical_key,
-    component_subgraphs,
+    encoding,
     named_graph,
 )
 from graphperiod.families import (
@@ -343,35 +343,14 @@ def free_period_by_enumeration(g: MultiGraph, p: int):
 
 
 def canonical_key_by_full_search(g: MultiGraph) -> bytes:
-    """Independent oracle for canonical_key: the same refinement and
-    minimum leaf encoding, but the search visits every child of every node
-    except twins (vertices whose transposition is an automorphism), with no
-    automorphisms recorded at leaves and no backjumping."""
-    return repr(
-        sorted(_full_search_encoding(c) for c in component_subgraphs(g))
-    ).encode()
-
-
-def _full_search_encoding(g: MultiGraph):
+    """Independent oracle for canonical_key's pruning: the same refinement
+    and leaf encoding on the whole graph, but the search visits every child
+    of every node except twins (vertices whose transposition is an
+    automorphism), with no automorphisms recorded at leaves and no
+    backjumping."""
     n = g.vertex_count
     loops, adj = _adjacency(g)
     best = None
-
-    def encode(colors):
-        order = sorted(range(n), key=colors.__getitem__)
-        position = [0] * n
-        for i, v in enumerate(order):
-            position[v] = i
-        loops_vec = tuple(loops[v] for v in order)
-        rows = []
-        for v in order:
-            iv = position[v]
-            for u, mult in adj[v].items():
-                iu = position[u]
-                if iv < iu:
-                    rows.append((iv, iu, mult))
-        rows.sort()
-        return (n, loops_vec, tuple(rows))
 
     def swappable(u, v):
         row_u = {x: m for x, m in adj[u].items() if x != v}
@@ -389,7 +368,7 @@ def _full_search_encoding(g: MultiGraph):
                 target = cells[c]
                 break
         if target is None:
-            enc = encode(colors)
+            enc = encoding(adj, loops, sorted(range(n), key=colors.__getitem__))
             if best is None or enc < best:
                 best = enc
             return

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphperiod import graphs
+from graphperiod.invariants import tutte_deletion_contraction
 from graphperiod.families import (
     connected_simple_graphs,
     loop_parallel_variants,
@@ -21,14 +22,15 @@ from graphperiod.graphs import (
     GraphTooLargeError,
     MultiGraph,
     _adjacency,
+    _canonical_search,
     _refine,
-    block_key,
     blocks,
     canonical_key,
     component_count,
     component_subgraphs,
     contract_edges,
     delete_edges,
+    encoding,
     named_graph,
     parse_edge_list,
     render_edge_list,
@@ -329,13 +331,47 @@ def test_map_minors_match_the_edge_id_route():
 
 
 def test_block_key_is_the_canonical_key_of_a_block():
+    # the recursion keys a block with no degree-2 vertex on the canonical
+    # search run on the block's map; that is canonical_key of the block
     rng = random.Random(5)
+    keyed = 0
     for _ in range(100):
-        g = _random_graph(rng, 7, 12)
+        g = _random_graph(rng, 7, 16)
         _, adj = _adjacency(g)
         for part in blocks(adj):
             piece = submap(adj, part)
-            assert block_key(piece) == canonical_key(_map_graph(piece))
+            block = _map_graph(piece)
+            key = canonical_key(block)
+            assert _canonical_search([0] * len(piece), piece)[0] == key
+            degrees = [sum(row.values()) for row in piece]
+            if block.edge_count > len(piece) > 2 and 2 not in degrees:
+                memo = {}
+                tutte_deletion_contraction(block, cache=memo)
+                assert key in {k for _, k in memo}
+                keyed += 1
+    assert keyed
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_a_block_in_canonical_order_has_its_canonical_key(seed):
+    # one key space: relabelled into the order of the search's minimum
+    # leaf, a block's label-order bytes are its canonical key
+    g = _random_graph(random.Random(seed), 6, 10)
+    _, adj = _adjacency(g)
+    for part in blocks(adj):
+        piece = submap(adj, part)
+        n = len(piece)
+        zeros = [0] * n
+        key = _canonical_search(zeros, piece)[0]
+        order = next(
+            order
+            for order in itertools.permutations(range(n))
+            if encoding(piece, zeros, order) == key
+        )
+        position = {v: i for i, v in enumerate(order)}
+        relabelled = [{position[w]: m for w, m in piece[v].items()} for v in order]
+        assert encoding(relabelled, zeros, range(n)) == key
 
 
 # -- canonical keys ----------------------------------------------------------------------
@@ -360,6 +396,31 @@ def test_canonical_key_separates_k2_plus_isolated_from_path():
     a = parse_edge_list("n 3\ne 0 1")
     b = named_graph("path", 3)
     assert canonical_key(a) != canonical_key(b)
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    [
+        (MultiGraph(3, ((1, 2),)), MultiGraph(6, ((3, 3), (4, 4), (4, 4), (5, 5)))),
+        (MultiGraph(0), MultiGraph(1)),
+        (MultiGraph(1), MultiGraph(3)),
+        (named_graph("theta", 255), named_graph("theta", 256)),
+        (named_graph("theta", 44), named_graph("theta", 300)),
+    ],
+    ids=[
+        "K2+K1-vs-loops",
+        "no-vertex-vs-one",
+        "one-vs-three-isolated",
+        "class-255-vs-256",
+        "class-44-vs-300",
+    ],
+)
+def test_canonical_key_separates_what_a_careless_format_merges(left, right):
+    # left out n, a vector of loop counts followed by edge triples writes
+    # both graphs of the first pair as 0 0 0 1 2 1 in label order, and any
+    # format writes all edgeless graphs alike; a one-byte word cannot hold
+    # a class of 256 edges, and read modulo 256, 300 is 44
+    assert canonical_key(left) != canonical_key(right)
 
 
 def test_canonical_key_multiplicity_sensitive():

@@ -304,6 +304,28 @@ def test_one_cache_equals_fresh_caches_on_random_multigraphs(tutte_first):
         assert (tutte, chromatic) == pair, g
 
 
+def test_one_cache_equals_fresh_caches_across_word_sizes():
+    # K4 with one class of k edges is memoized under keys of 1-byte words
+    # up to k = 255 and of 2-byte words from k = 256 on.  The last graph
+    # has the layout of the one before (q = 305) and classes of 44 and 257
+    # edges, the 300 and 1 of that one modulo 256
+    k4 = named_graph("complete", 4)
+    graphs = [MultiGraph(4, k4.endpoints + ((0, 1),) * (k - 1)) for k in (254, 255, 256, 300)]
+    graphs.append(MultiGraph(4, k4.endpoints + ((0, 1),) * 43 + ((2, 3),) * 256))
+    expected = [
+        (tutte_deletion_contraction(g, cache={}), chromatic_deletion_contraction(g, cache={}))
+        for g in graphs
+    ]
+    for order in (range(5), range(4, -1, -1)):
+        shared = {}
+        for i in order:
+            got = (
+                tutte_deletion_contraction(graphs[i], cache=shared),
+                chromatic_deletion_contraction(graphs[i], cache=shared),
+            )
+            assert got == expected[i], graphs[i].edge_count
+
+
 def test_labelled_key_keeps_multiplicities_and_the_line():
     # two diamonds, one with the class 0-1 doubled: their maps differ in one
     # multiplicity, and each has a series path through vertex 3, so both
