@@ -20,7 +20,7 @@ from graphperiod.criteria import (
     check_tutte_quotient_congruence,
 )
 from graphperiod.families import connected_simple_graphs
-from graphperiod.polynomials import is_prime
+from graphperiod.polynomials import require_prime
 from graphperiod.symmetry import find_free_period, quotient_graph
 
 USAGE = "usage: python scripts/periodicity_survey.py [max_vertices] [primes...]"
@@ -32,10 +32,7 @@ def parse_args(argv):
     max_vertices = int(argv[1]) if len(argv) > 1 else 6
     if max_vertices < 1:
         raise ValueError(f"max_vertices must be at least 1, got {max_vertices}")
-    primes = tuple(int(a) for a in argv[2:]) or (2, 3, 5)
-    for p in primes:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not a prime")
+    primes = tuple(require_prime(int(a), "p") for a in argv[2:]) or (2, 3, 5)
     return max_vertices, primes
 
 

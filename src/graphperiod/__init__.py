@@ -12,7 +12,6 @@ _EXPORTS = {
         "MultiGraph",
         "canonical_key",
         "component_count",
-        "component_subgraphs",
         "is_connected",
         "named_graph",
         "parse_edge_list",
@@ -27,6 +26,7 @@ _EXPORTS = {
         "is_prime",
         "power_mod",
         "reduce_mod_p",
+        "require_prime",
         "substitute",
     ),
     "invariants": (

@@ -26,7 +26,7 @@ from .graphs import (
     parse_edge_list,
     render_edge_list,
 )
-from .polynomials import is_prime, reduce_mod_p
+from .polynomials import reduce_mod_p, require_prime
 from .symmetry import (
     DEFAULT_VERTEX_LIMIT,
     enumerate_automorphisms,
@@ -71,12 +71,6 @@ def load_graph(spec: str) -> tuple[MultiGraph, str]:
         f"graph spec {spec!r} is neither a named graph "
         f"({', '.join(NAMED_GRAPHS)}) nor an existing file"
     )
-
-
-def _check_prime(p: int) -> int:
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,13 +150,12 @@ def request_from_args(args: argparse.Namespace) -> argparse.Namespace:
     """Check the parsed arguments argparse cannot: primes, and that --fold
     comes with --mod; returns ``args``, with --primes as a tuple."""
     if getattr(args, "p", None) is not None:
-        _check_prime(args.p)
+        require_prime(args.p, "--p")
     if getattr(args, "mod", None) is not None:
-        _check_prime(args.mod)
+        require_prime(args.mod, "--mod")
     if getattr(args, "primes", None) is not None:
-        args.primes = tuple(
-            _check_prime(int(chunk)) for chunk in args.primes.split(",") if chunk
-        )
+        chunks = [chunk for chunk in args.primes.split(",") if chunk]
+        args.primes = tuple(require_prime(int(chunk), "--primes") for chunk in chunks)
         if not args.primes:
             raise ValueError("--primes must list at least one prime")
     if getattr(args, "fold", False) and args.mod is None:

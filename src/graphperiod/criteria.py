@@ -48,6 +48,7 @@ from .polynomials import (
     power_mod,
     reduce_mod_p,
     render_monomial,
+    require_prime,
 )
 from .symmetry import (
     DEFAULT_VERTEX_LIMIT,
@@ -209,6 +210,7 @@ def check_negami_shape(
 ) -> CriterionReport:
     """Surviving monomials of N mod p must have y-exponent == 0 (mod p).
     ``notes`` follow the check's own note."""
+    p = require_prime(p, "p")
     _require_connected(g, "thm1.1")
     if negami is None:
         negami = negami_polynomial(g)
@@ -229,6 +231,7 @@ def check_tutte_coefficients(
 ) -> CriterionReport:
     """Surviving a_{ij} of T(s,t) mod p must satisfy j - i == 1 - r (mod p).
     ``notes`` follow the check's own note."""
+    p = require_prime(p, "p")
     _require_connected(g, "cor1.2")
     if tutte is None:
         tutte = tutte_deletion_contraction(g).shifted
@@ -253,6 +256,7 @@ def check_selfdual_vertex_count(
     asserts it and this check verifies the computable necessary condition
     T(s,t) = T(t,s), refusing to report when it fails.
     """
+    p = require_prime(p, "p")
     _require_connected(g, "cor1.3")
     if not asserted_self_dual:
         raise ValueError(
@@ -269,7 +273,7 @@ def check_selfdual_vertex_count(
             "asserted self-duality"
         )
     r = g.vertex_count
-    verdict = "pass" if r % p == 1 % p else "fail"
+    verdict = "pass" if r % p == 1 else "fail"
     return CriterionReport(
         criterion="cor1.3",
         graph=graph_label or _default_label(g),
@@ -367,7 +371,9 @@ def exclusion_report(
     raises SoundnessError); when the search gives up, above ``oracle_limit``
     vertices or past the node budget, the reports say so.  The search root
     (adjacency and colour refinement) is built once per graph and serves
-    the search at every prime; the node budget holds per search."""
+    the search at every prime; the node budget holds per search.  Every
+    prime is tested before any of this work starts."""
+    primes = sorted({require_prime(p, "p") for p in primes})
     _require_connected(g, "exclusion report")
     label = graph_label or _default_label(g)
     tutte = tutte_deletion_contraction(g).shifted
@@ -379,7 +385,7 @@ def exclusion_report(
         except OracleLimitError as exc:
             skipped = f"oracle: skipped, {exc}"
     reports = []
-    for p in sorted(set(primes)):
+    for p in primes:
         witness, notes = None, ()
         if use_oracle:
             witness, note = (None, skipped) if skipped else _oracle_search(g, p, root)

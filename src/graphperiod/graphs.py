@@ -124,16 +124,6 @@ class MultiGraph(Frozen):
         return f"MultiGraph({self.vertex_count}, {list(self.endpoints)!r})"
 
 
-def _trusted(vertex_count: int, endpoints: tuple) -> MultiGraph:
-    """A MultiGraph built without re-validation, for the structural
-    operations below: their endpoints are in range and ordered u <= v by
-    construction."""
-    g = object.__new__(MultiGraph)
-    object.__setattr__(g, "vertex_count", vertex_count)
-    object.__setattr__(g, "endpoints", endpoints)
-    return g
-
-
 # -- text format --------------------------------------------------------
 
 
@@ -290,27 +280,6 @@ def component_count(g: MultiGraph) -> int:
 
 def is_connected(g: MultiGraph) -> bool:
     return component_count(g) == 1
-
-
-def component_subgraphs(g: MultiGraph):
-    """Split into connected components, vertices and edges keeping their
-    relative order.  Returns a list of MultiGraphs."""
-    labels = _component_labels(g.vertex_count, g.endpoints)
-    roots = sorted(set(labels))
-    if len(roots) == 1:
-        return [g]
-    vmaps = {root: {} for root in roots}
-    for v in range(g.vertex_count):
-        m = vmaps[labels[v]]
-        m[v] = len(m)
-    pieces = []
-    for root in roots:
-        vmap = vmaps[root]
-        edges = tuple(
-            (vmap[u], vmap[v]) for u, v in g.endpoints if labels[u] == root
-        )
-        pieces.append(_trusted(len(vmap), edges))
-    return pieces
 
 
 # -- adjacency maps --------------------------------------------------------

@@ -8,7 +8,7 @@ every operation returns a new object.
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, index
 
 
 class VariableMismatchError(ValueError):
@@ -26,7 +26,12 @@ _PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; ValueError from _PRIME_TEST_LIMIT on."""
+    """Deterministic Miller-Rabin; ValueError for a non-integer, and from
+    _PRIME_TEST_LIMIT on."""
+    try:
+        n = index(n)
+    except TypeError:
+        raise ValueError(f"{n!r} is not an integer") from None
     if n >= _PRIME_TEST_LIMIT:
         raise ValueError(f"{n} is too large to test for primality")
     if n < 2:
@@ -51,10 +56,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _require_prime(p: int) -> int:
-    if not is_prime(p):
-        raise ValueError(f"modulus must be prime, got {p}")
-    return p
+def require_prime(p, name: str) -> int:
+    """``p`` as an int if it is a prime, else ValueError naming ``name``.
+    The one primality rule: every public entry point that takes a prime
+    calls it first.  ``p`` is read through ``operator.index``, so 3.0, "3"
+    and 2.5 are refused, and True reads as 1."""
+    try:
+        n = index(p)
+    except TypeError:
+        n = 0
+    if not is_prime(n):
+        raise ValueError(f"{name} must be prime, got {p!r}")
+    return n
 
 
 class Polynomial:
@@ -72,14 +85,21 @@ class Polynomial:
         table = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for exps, coeff in items:
-            exps = tuple(exps)
+            # operator.index refuses floats and strings, which int() would
+            # truncate or parse
+            try:
+                exps = tuple(map(index, exps))
+                coeff = index(coeff)
+            except TypeError:
+                raise ValueError(
+                    f"exponents {exps!r} and coefficient {coeff!r} must be integers"
+                ) from None
             if len(exps) != width:
                 raise ValueError(
                     f"exponent tuple {exps} does not match variables {variables}"
                 )
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            coeff = int(coeff)
             if coeff:
                 table[exps] = table.get(exps, 0) + coeff
                 if not table[exps]:
@@ -107,7 +127,7 @@ class Polynomial:
     def constant(cls, variables, value):
         variables = tuple(variables)
         zeros = (0,) * len(variables)
-        return cls(variables, {zeros: int(value)})
+        return cls(variables, {zeros: value})
 
     @classmethod
     def monomial(cls, variables, exps, coefficient=1):
@@ -223,7 +243,7 @@ class ModPolynomial:
     __slots__ = ("polynomial", "modulus")
 
     def __init__(self, polynomial: Polynomial, modulus: int):
-        _require_prime(modulus)
+        modulus = require_prime(modulus, "modulus")
         self.polynomial = _reduced(polynomial, modulus)
         self.modulus = modulus
 

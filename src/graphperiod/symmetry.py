@@ -25,9 +25,10 @@ of <h> to a single vertex/edge.
 from __future__ import annotations
 
 import math
+from operator import index
 
 from .graphs import Frozen, MultiGraph, _adjacency, _refine
-from .polynomials import is_prime
+from .polynomials import require_prime
 
 DEFAULT_VERTEX_LIMIT = 32
 SEARCH_NODE_BUDGET = 200_000
@@ -61,11 +62,16 @@ class Automorphism(Frozen):
     _fields = ("vertex_perm", "edge_perm")
 
     def __init__(self, vertex_perm: tuple, edge_perm: tuple):
-        for name, perm in (("vertex", vertex_perm), ("edge", edge_perm)):
-            if sorted(perm) != list(range(len(perm))):
-                raise ValueError(f"{name}_perm is not a permutation")
-        object.__setattr__(self, "vertex_perm", vertex_perm)
-        object.__setattr__(self, "edge_perm", edge_perm)
+        for name, perm in (("vertex_perm", vertex_perm), ("edge_perm", edge_perm)):
+            # operator.index refuses floats, which sort like ints but fail
+            # later as list indices
+            try:
+                perm = tuple(map(index, perm))
+            except TypeError:
+                perm = None
+            if perm is None or sorted(perm) != list(range(len(perm))):
+                raise ValueError(f"{name} is not a permutation")
+            object.__setattr__(self, name, perm)
 
     def order(self) -> int:
         n = 1
@@ -113,10 +119,10 @@ def _edge_index(g: MultiGraph):
     return edges, classes
 
 
-def _induced_edge_perm(index, vp) -> tuple:
+def _induced_edge_perm(edge_index, vp) -> tuple:
     """The canonical edge permutation induced by a vertex automorphism:
     parallel edges map in ascending id order."""
-    edges, classes = index
+    edges, classes = edge_index
     return tuple([classes[vp[u], vp[v]][rank] for u, v, rank in edges])
 
 
@@ -238,8 +244,8 @@ def enumerate_automorphisms(g: MultiGraph, *, limit=DEFAULT_VERTEX_LIMIT):
     """Complete automorphism list, each vertex permutation paired with the
     canonical edge permutation, sorted by vertex permutation."""
     vertex_perms = sorted(_vertex_automorphisms(_search_root(g, limit)))
-    index = _edge_index(g)
-    return [Automorphism(vp, _induced_edge_perm(index, vp)) for vp in vertex_perms]
+    edge_index = _edge_index(g)
+    return [Automorphism(vp, _induced_edge_perm(edge_index, vp)) for vp in vertex_perms]
 
 
 def _free_edge_perm(g: MultiGraph, vp, p):
@@ -252,8 +258,8 @@ def _free_edge_perm(g: MultiGraph, vp, p):
     onto itself; such a class must have multiplicity divisible by p and is
     cycled in blocks of p instead.
     """
-    edges, classes = index = _edge_index(g)
-    ep = list(_induced_edge_perm(index, vp))
+    edges, classes = edge_index = _edge_index(g)
+    ep = list(_induced_edge_perm(edge_index, vp))
     for e, (u, v, rank) in enumerate(edges):
         if rank == 0 and ep[e] == e:
             members = classes[u, v]
@@ -357,8 +363,7 @@ def find_free_period(g: MultiGraph, p: int, *, limit=DEFAULT_VERTEX_LIMIT):
     vertex permutation is considered too: parallel classes of multiplicity
     divisible by p admit a free edge action on their own.
     """
-    if not is_prime(p):
-        raise ValueError(f"period must be prime, got {p}")
+    p = require_prime(p, "period")
     return _first_free_period(g, p, _search_root(g, limit))
 
 
@@ -409,8 +414,7 @@ class QuotientMap(Frozen):
 
 def validate_free_period(g: MultiGraph, h: Automorphism, p: int):
     """Raise NotAFreePeriodError unless h witnesses a free period of order p."""
-    if not is_prime(p):
-        raise ValueError(f"period must be prime, got {p}")
+    p = require_prime(p, "period")
     try:
         validate_automorphism(g, h)
     except ValueError as exc:

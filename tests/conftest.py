@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import re
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -546,3 +548,17 @@ def route_family():
 @pytest.fixture(scope="session")
 def small_connected_family():
     return list(connected_simple_graphs(5))
+
+
+# -- the documented scripts -----------------------------------------------------
+
+
+SURVEY = Path(__file__).resolve().parents[1] / "scripts" / "periodicity_survey.py"
+
+
+def periodicity_survey():
+    """scripts/periodicity_survey.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("periodicity_survey", SURVEY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import random
 
 import pytest
 
-from graphperiod import criteria, graphs
+from graphperiod import cli, criteria, graphs
 from graphperiod.families import random_multigraph
 from graphperiod.graphs import is_connected, named_graph, parse_edge_list
 from graphperiod.invariants import (
@@ -28,8 +29,9 @@ from graphperiod.criteria import (
     exclusion_report,
     render_report,
 )
-from graphperiod.symmetry import find_free_period
-from conftest import cycle_rotation, tutte_from_negami
+from graphperiod.polynomials import ModPolynomial, Polynomial, reduce_mod_p
+from graphperiod.symmetry import find_free_period, validate_free_period
+from conftest import cycle_rotation, periodicity_survey, tutte_from_negami
 
 PETERSEN = named_graph("petersen")
 FRUCHT = named_graph("frucht")
@@ -316,6 +318,57 @@ def test_exclusion_report_matches_standalone_checks(small_connected_family):
             assert report.notes[-1] == f"oracle: free period of order {report.p} " + (
                 "found" if found else "not found"
             )
+
+
+# -- the one prime rule ------------------------------------------------------------------------
+
+X = Polynomial.variable(("x",), "x")
+CYCLE_4 = named_graph("cycle", 4)
+K4 = named_graph("complete", 4)
+
+# every public entry point that takes a prime, as a function of the prime;
+# the command line and the survey read text, so they get the value's repr
+PRIME_ENTRY_POINTS = {
+    "ModPolynomial": lambda p: ModPolynomial(X, p),
+    "reduce_mod_p": lambda p: reduce_mod_p(X, p),
+    "find_free_period": lambda p: find_free_period(CYCLE_4, p),
+    "validate_free_period": lambda p: validate_free_period(*cycle_rotation(2), p),
+    "thm1.1": lambda p: check_negami_shape(CYCLE_4, p),
+    "cor1.2": lambda p: check_tutte_coefficients(CYCLE_4, p),
+    # K4 has 4 vertices, 4 == 0 (mod 4) != 1: a composite p read "fail"
+    "cor1.3": lambda p: check_selfdual_vertex_count(K4, p, True),
+    "thm3.1": lambda p: check_negami_quotient_congruence(*cycle_rotation(2), p),
+    "cor3.2": lambda p: check_tutte_quotient_congruence(*cycle_rotation(2), p),
+    "chromatic-remark": lambda p: check_chromatic_vanishing(*cycle_rotation(2), p),
+    "exclusion_report": lambda p: exclusion_report(CYCLE_4, [p], use_oracle=True),
+    "--p": lambda p: cli.request_from_args(argparse.Namespace(p=p)),
+    "--mod": lambda p: cli.request_from_args(argparse.Namespace(mod=p)),
+    "--primes": lambda p: cli.request_from_args(argparse.Namespace(primes=repr(p))),
+    "survey": lambda p: periodicity_survey().parse_args(["periodicity_survey.py", "4", repr(p)]),
+}
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, -3, 3.0, "3", True], ids=repr)
+@pytest.mark.parametrize("entry", PRIME_ENTRY_POINTS)
+def test_every_entry_point_refuses_what_is_not_a_prime(entry, p):
+    # text that int() cannot read is refused before the prime rule
+    with pytest.raises(ValueError, match="must be prime, got|invalid literal for int"):
+        PRIME_ENTRY_POINTS[entry](p)
+
+
+def test_the_entry_points_take_a_prime():
+    for call in PRIME_ENTRY_POINTS.values():
+        call(2)
+    assert check_selfdual_vertex_count(K4, 3, True).verdict == "pass"
+
+
+def test_exclusion_report_tests_every_prime_before_any_work(monkeypatch):
+    calls = []
+    for name in ("tutte_deletion_contraction", "_search_root", "_first_free_period"):
+        monkeypatch.setattr(criteria, name, lambda *args, name=name, **kw: calls.append(name))
+    with pytest.raises(ValueError, match="p must be prime, got 0"):
+        exclusion_report(CYCLE_4, [2, 0], use_oracle=True)
+    assert calls == []
 
 
 # -- report plumbing ---------------------------------------------------------------------------

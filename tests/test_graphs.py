@@ -27,7 +27,6 @@ from graphperiod.graphs import (
     blocks,
     canonical_key,
     component_count,
-    component_subgraphs,
     contract_edges,
     delete_edges,
     encoding,
@@ -537,21 +536,6 @@ def test_pruned_search_separates_refinement_blind_pairs(pair, doubled):
     for g, key in zip(members, keys):
         for _ in range(20):
             assert canonical_key(_shuffled_copy(g, rng)) == key
-
-
-def _assert_built_as_validated(h: MultiGraph):
-    validated = MultiGraph(h.vertex_count, h.endpoints)
-    assert h == validated
-    assert type(h.endpoints) is tuple and h.endpoints == validated.endpoints
-    assert all(0 <= u <= v < h.vertex_count for u, v in h.endpoints)
-
-
-def test_structural_operations_build_validated_graphs():
-    rng = random.Random(7)
-    for _ in range(300):
-        g = random_multigraph(rng, max_vertices=8, max_edges=14)
-        for h in component_subgraphs(g):
-            _assert_built_as_validated(h)
 
 
 # -- named graphs -----------------------------------------------------------------------------

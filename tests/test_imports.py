@@ -20,13 +20,12 @@ SRC = Path(graphperiod.__file__).resolve().parents[1]
 PUBLIC = {
     "graphs": [
         "GraphFormatError", "MultiGraph", "canonical_key", "component_count",
-        "component_subgraphs", "is_connected", "named_graph", "parse_edge_list",
-        "render_edge_list",
+        "is_connected", "named_graph", "parse_edge_list", "render_edge_list",
     ],
     "polynomials": [
         "ModPolynomial", "NonDivisibleTermError", "Polynomial",
         "VariableMismatchError", "divide_exact_monomial", "is_prime",
-        "power_mod", "reduce_mod_p", "substitute",
+        "power_mod", "reduce_mod_p", "require_prime", "substitute",
     ],
     "invariants": [
         "NegamiPolynomial", "SubsetCapExceededError", "TuttePair",

@@ -92,6 +92,23 @@ def test_mod_polynomial_requires_prime():
         reduce_mod_p(P("x"), 4)
 
 
+@pytest.mark.parametrize("n", [3.0, "3", 2.5])
+def test_is_prime_refuses_non_integers(n):
+    with pytest.raises(ValueError, match="is not an integer"):
+        is_prime(n)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [{(1,): 2.7}, {(1,): "3"}, {(1.5,): 1}],
+    ids=["float-coefficient", "string-coefficient", "float-exponent"],
+)
+def test_constructor_refuses_non_integer_terms(terms):
+    # int() would read these as 2*x and 3*x, and store the exponent 1.5
+    with pytest.raises(ValueError, match="must be integers"):
+        Polynomial(("x",), terms)
+
+
 def test_modulus_is_tested_once(monkeypatch):
     from graphperiod import polynomials
 

@@ -185,5 +185,8 @@ def test_constructors_validate():
         MultiGraph(2, ((0, 2),))
     with pytest.raises(ValueError):
         Automorphism((0, 0), ())
+    # floats sort like ints, so only order() would fail, on a TypeError
+    with pytest.raises(ValueError, match="vertex_perm is not a permutation"):
+        Automorphism((1.0, 0.0), ())
     with pytest.raises(ValueError):
         NegamiPolynomial(Polynomial(("u", "x", "y"), {(1, 1, 1): 1}), 2, 1, 1)
