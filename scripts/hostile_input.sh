@@ -27,6 +27,14 @@ status=0
 timeout 60 python -m graphperiod.cli oracle find-period --graph complete:40 --p 3 || status=$?
 echo "oracle find-period above the vertex limit exited $status"
 test "$status" -eq 2
+# a 21-cycle with shuffled labels: the search refines after each placement,
+# so it answers as fast as in the cycle's own labels
+python -c 'import random; r = random.Random(1); p = list(range(21)); r.shuffle(p); print("n 21"); [print("e", p[v], p[(v + 1) % 21]) for v in range(21)]' > "$work/c21.graph"
+timeout 60 python -m graphperiod.cli oracle find-period --graph "$work/c21.graph" --p 7 > /dev/null
+status=0
+timeout 60 python -m graphperiod.cli oracle find-period --graph cycle:2000 --p 3 --oracle-limit 5000 || status=$?
+echo "oracle find-period on a 2000-cycle exited $status"
+test "$status" -eq 2
 status=0
 timeout 60 python -m graphperiod.cli oracle find-period --graph complete:12 --p 5 || status=$?
 echo "oracle find-period on K12 at p = 5 exited $status"

@@ -484,6 +484,14 @@ def _refine(n, adj, loops, colors):
         ncolors = new_count
 
 
+def _individualise(adj, loops, colors, v):
+    """``colors`` refined after v gets a colour of its own: c becomes 2c + 1
+    and v's 2c, so the result does not depend on the labels."""
+    split = [c * 2 + 1 for c in colors]
+    split[v] -= 1
+    return _refine(len(adj), adj, loops, split)
+
+
 def _canonical_search(loops, adj):
     """(key, automorphisms, twins) of a graph given as its loop counts and
     adjacency map: the minimum leaf encoding, which is its canonical key,
@@ -556,9 +564,7 @@ def _canonical_search(loops, adj):
                 if w not in reached and swappable(v, w):
                     reached.add(w)
                     twins.append((v, w))
-            split = [c * 2 + 1 for c in colors]
-            split[v] -= 1
-            resume = search(_refine(n, adj, loops, split), path + (v,))
+            resume = search(_individualise(adj, loops, colors, v), path + (v,))
             if resume is not None and resume < depth:
                 return resume
         return None

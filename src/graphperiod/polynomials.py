@@ -401,7 +401,8 @@ def substitute(a: Polynomial, mapping: dict, variables=None) -> Polynomial:
     for name in a.variables:
         if name in mapping:
             value = mapping[name]
-            if isinstance(value, int):
+            if not isinstance(value, Polynomial):
+                # the constructor refuses a value that is not an integer
                 value = Polynomial.constant(target, value)
             elif value.variables != target:
                 raise VariableMismatchError(
@@ -440,7 +441,10 @@ def divide_exact_monomial(a: Polynomial, monomial: dict) -> Polynomial:
     unknown = [v for v in monomial if v not in a.variables]
     if unknown:
         raise ValueError(f"monomial uses unknown variables {unknown}")
-    offsets = tuple(int(monomial.get(v, 0)) for v in a.variables)
+    try:
+        offsets = tuple(index(monomial.get(v, 0)) for v in a.variables)
+    except TypeError:
+        raise ValueError(f"monomial exponents must be integers, got {monomial!r}") from None
     if any(o < 0 for o in offsets):
         raise ValueError("monomial exponents must be non-negative")
     table = {}

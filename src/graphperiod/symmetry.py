@@ -1,19 +1,20 @@
 """Ground-truth symmetry oracle: automorphism enumeration, free-period
 search, orbits and quotient graphs.
 
-Both searches run on one backtracking routine over vertex images, with the
-refined colour classes as candidate sets (after McKay & Piperno, "Practical
-graph isomorphism, II", J. Symbolic Comput. 60, 2014).  The enumeration
-lists and sorts Aut(G); the free-period search places vertices 0, 1, ... in
-order, prunes every branch that cannot extend to a free action of order p,
-and stops at the first witness.  The routine gives up with OracleLimitError
-above a vertex limit and after SEARCH_NODE_BUDGET nodes.
+Both searches run on one backtracking routine.  It places vertices 0, 1,
+... in order, each on an unplaced vertex of its colour, so automorphisms
+come out in vertex-lexicographic order.  After each placement it refines
+the colours with the individualise-and-refine step of the canonical search
+(``graphs._individualise``; McKay & Piperno, "Practical graph isomorphism,
+II", J. Symbolic Comput. 60, 2014).  The free-period search also cuts every
+branch that cannot extend to a free action of order p, and stops at the
+first witness.  The routine gives up with OracleLimitError above a vertex
+limit and after SEARCH_NODE_BUDGET nodes.
 
 An automorphism of a multigraph is a compatible pair of permutations (one of
-vertices, one of edges).  On simple graphs the edge permutation is forced by
-the vertex permutation; with parallel edges several edge permutations may be
-compatible and a fixed-point-free action may need a nontrivial one, so the
-free-period search reasons about parallel classes explicitly.
+vertices, one of edges).  With parallel edges several edge permutations may
+be compatible and a fixed-point-free action may need a nontrivial one, so
+the free-period search reasons about parallel classes explicitly.
 
 A graph has a free period of prime order p when some automorphism h satisfies
 h^p = identity, h != identity, and the edge permutation has no fixed point
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from operator import index
 
-from .graphs import Frozen, MultiGraph, _adjacency, _refine
+from .graphs import Frozen, MultiGraph, _adjacency, _individualise, _refine
 from .polynomials import require_prime
 
 DEFAULT_VERTEX_LIMIT = 32
@@ -142,10 +143,10 @@ def automorphism_from_vertex_perm(g: MultiGraph, vertex_perm) -> Automorphism:
 
 
 def _search_root(g: MultiGraph, limit):
-    """(loops, adj, candidates): the graph's loop counts and adjacency
-    multiplicities, and for each vertex its refined colour cell, the
-    candidate images of every search on g.  Built once, it serves any
-    number of searches, which only read it.
+    """(loops, adj, cells, levels, first): the graph's loop counts and
+    adjacency multiplicities, each vertex's refined colour cell, and the
+    domain colourings and image cache of ``_vertex_automorphisms``, which
+    every search on g extends and shares.
 
     Raises OracleLimitError above ``limit`` vertices.
     """
@@ -153,76 +154,63 @@ def _search_root(g: MultiGraph, limit):
     if n > limit:
         raise OracleLimitError(f"{n} vertices exceed the limit of {limit}")
     loops, adj = _adjacency(g)
-    colors = _refine(n, adj, loops, [0] * n)
+    levels = [_refine(n, adj, loops, [0] * n)]
     cells: dict = {}
-    for v, c in enumerate(colors):
+    for v, c in enumerate(levels[0]):
         cells.setdefault(c, []).append(v)
-    return loops, adj, [cells[c] for c in colors]
+    return loops, adj, [cells[c] for c in levels[0]], levels, {}
 
 
 def _vertex_automorphisms(root, *, period=None):
     """Vertex permutations preserving loop counts and adjacency
-    multiplicities, by backtracking from ``root`` (see ``_search_root``):
-    each vertex in turn takes an image in its refined colour cell that
-    keeps the multiplicities to every vertex placed before it.  The
-    refinement separates loop counts, so the cell is the whole candidate
-    set.
+    multiplicities, in vertex-lexicographic order, by backtracking from
+    ``root`` (see ``_search_root``).
 
-    Without ``period`` every automorphism is yielded, placing the vertices
-    in a BFS order, which meets adjacency constraints sooner.  With a prime
-    ``period`` p the vertices are placed in order 0, 1, ... and candidates
-    are tried ascending, so permutations come out in vertex-lexicographic
-    order, and every branch that cannot extend to a free action of order p
-    is cut (see ``_period_step``).
+    Vertex k is placed on the unplaced vertices of its colour, ascending,
+    that keep its multiplicities to 0..k-1.  The domain colouring
+    ``levels[k]`` has 0..k-1 individualised and refined in turn, the image
+    colouring their images; the colours are label-free, so a placement
+    after which the two sort differently is cut.  Where individualising k
+    splits off only k, neither side is split: on a branch that extends,
+    the image side splits off only the image.  ``first`` keeps the image
+    side's split of the root colouring for every search on the root.
+
+    With a prime ``period`` p every branch that cannot extend to a free
+    action of order p is cut as well (see ``_period_step``).
 
     Raises OracleLimitError once the search visits more than
     SEARCH_NODE_BUDGET nodes.
     """
-    loops, adj, candidates = root
+    loops, adj, cells, levels, first = root
     n = len(loops)
-    if n == 0:
-        yield ()
-        return
-
-    image = [-1] * n
-    preimage = [-1] * n
-    if period is not None:
-        order = list(range(n))
-        step = _period_step(period, loops, adj, candidates, image, preimage)
-    else:
-        step = None
-        order = []
-        seen = [False] * n
-        for start in range(n):
-            if seen[start]:
-                continue
-            queue = [start]
-            seen[start] = True
-            while queue:
-                v = queue.pop(0)
-                order.append(v)
-                for u in sorted(adj[v]):
-                    if not seen[u]:
-                        seen[u] = True
-                        queue.append(u)
-
+    image, preimage = [-1] * n, [-1] * n
+    step = period and _period_step(period, loops, adj, cells, image, preimage)
     budget = SEARCH_NODE_BUDGET
     nodes = 0
 
-    def extend(k):
+    def extend(k, colors):
         nonlocal nodes
         if k == n:
             yield tuple(image)
             return
-        v = order[k]
-        row = adj[v]
-        for w in candidates[v]:
-            if preimage[w] != -1:
+        here = levels[k]
+        row = adj[k]
+        if len(levels) == k + 1:
+            # individualising k splits off more than k exactly when two
+            # vertices of one colour differ in their multiplicity to k
+            to_k = {}
+            levels.append(here)
+            for x, c in enumerate(here):
+                if x != k and to_k.setdefault(c, row.get(x, 0)) != row.get(x, 0):
+                    levels[k + 1] = _individualise(adj, loops, here, k)
+                    break
+        for w in cells[k] if colors is levels[0] else range(n):
+            if colors[w] != here[k] or preimage[w] != -1:
                 continue
             row_w = adj[w]
             ok = True
-            for prev in order[:k]:
-                if row.get(prev, 0) != row_w.get(image[prev], 0):
+            for u in range(k):
+                if row.get(u, 0) != row_w.get(image[u], 0):
                     ok = False
                     break
             if not ok:
@@ -230,21 +218,29 @@ def _vertex_automorphisms(root, *, period=None):
             nodes += 1
             if nodes > budget:
                 raise OracleLimitError(f"search budget of {budget} nodes exceeded")
-            image[v] = w
-            preimage[w] = v
-            if step is None or step(v, w):
-                yield from extend(k + 1)
+            image[k] = w
+            preimage[w] = k
+            split = colors
+            if step is None or step(k, w):
+                if levels[k + 1] is not here:
+                    split = first.get(w) if colors is levels[0] else None
+                    if split is None:
+                        split = _individualise(adj, loops, colors, w)
+                        if colors is levels[0]:
+                            first[w] = split
+                if split is colors or sorted(split) == sorted(levels[k + 1]):
+                    yield from extend(k + 1, split)
             preimage[w] = -1
-            image[v] = -1
+            image[k] = -1
 
-    yield from extend(0)
+    yield from extend(0, levels[0])
 
 
 def enumerate_automorphisms(g: MultiGraph, *, limit=DEFAULT_VERTEX_LIMIT):
     """Complete automorphism list, each vertex permutation paired with the
     canonical edge permutation, sorted by vertex permutation."""
-    vertex_perms = sorted(_vertex_automorphisms(_search_root(g, limit)))
     edge_index = _edge_index(g)
+    vertex_perms = list(_vertex_automorphisms(_search_root(g, limit)))
     return [Automorphism(vp, _induced_edge_perm(edge_index, vp)) for vp in vertex_perms]
 
 
@@ -275,10 +271,10 @@ def _free_edge_perm(g: MultiGraph, vp, p):
 def _period_step(p, loops, adj, cell_of, image, preimage):
     """The pruning step ``step(v, w)`` of the free-period search at prime p,
     over the search's own adjacency, colour cells (``cell_of[v]`` is the
-    cell of v) and partial map; it is called
-    after v is mapped to w and returns False to cut the branch.  A branch
-    dies as soon as it cannot extend to an h with h^p = id whose fixed edge
-    classes all have multiplicity divisible by p:
+    cell of v) and partial map; it is called after v is mapped to w and
+    returns False to cut the branch.  A branch dies as soon as it cannot
+    extend to an h with h^p = id whose fixed edge classes all have
+    multiplicity divisible by p:
 
     * the cycle through the new arrow closes with a length other than 1 or
       p, or the open chain through it has more than p vertices;
@@ -357,11 +353,9 @@ def find_free_period(g: MultiGraph, p: int, *, limit=DEFAULT_VERTEX_LIMIT):
     """First automorphism (in vertex-lexicographic order) of order exactly p
     whose edge permutation has no fixed point, or None.
 
-    The search places vertices 0, 1, ... in turn and cuts every branch that
-    cannot extend to a free action of order p (see ``_period_step``), so
-    it stops at the first witness instead of listing Aut(G).  The identity
-    vertex permutation is considered too: parallel classes of multiplicity
-    divisible by p admit a free edge action on their own.
+    The search stops at the first witness instead of listing Aut(G).  The
+    identity vertex permutation is considered too: parallel classes of
+    multiplicity divisible by p admit a free edge action on their own.
     """
     p = require_prime(p, "period")
     return _first_free_period(g, p, _search_root(g, limit))

@@ -413,6 +413,30 @@ def first_seen_connected_simple_graphs(max_vertices: int):
 # -- symmetric graphs, where colour refinement alone leaves large cells --------
 
 
+def shuffled_copy(g: MultiGraph, rng: random.Random) -> MultiGraph:
+    """An isomorphic copy: vertex v becomes vperm[v], edge e moves to
+    position eperm[e]."""
+    vperm = list(range(g.vertex_count))
+    eperm = list(range(g.edge_count))
+    rng.shuffle(vperm)
+    rng.shuffle(eperm)
+    endpoints = [None] * g.edge_count
+    for e, (u, v) in enumerate(g.endpoints):
+        endpoints[eperm[e]] = (vperm[u], vperm[v])
+    return MultiGraph(g.vertex_count, tuple(endpoints))
+
+
+# symmetric cubic graphs of the Foster census: name -> (n, LCF pattern)
+SYMMETRIC_CUBIC_LCF = {
+    "mobius-kantor": (16, (5, -5)),
+    "pappus": (18, (5, 7, -7, 7, -7, -5)),
+    "desargues": (20, (5, -5, 9, -9)),
+    "nauru": (24, (5, -9, 7, -7, 9, -5)),
+    "f26a": (26, (-7, 7)),
+    "tutte-coxeter": (30, (-13, -9, 7, -7, 9, 13)),
+}
+
+
 def lcf_graph(n: int, pattern) -> MultiGraph:
     """Hamiltonian cubic graph from LCF notation."""
     edges = {(i, (i + 1) % n) for i in range(n)}

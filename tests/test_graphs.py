@@ -45,6 +45,7 @@ from conftest import (
     random_cubic,
     rook_4x4,
     shrikhande,
+    shuffled_copy,
     symmetric_graphs,
 )
 
@@ -441,7 +442,7 @@ def multigraphs(draw):
 @settings(max_examples=100, deadline=None)
 @given(multigraphs(), st.randoms(use_true_random=False))
 def test_canonical_key_relabeling_invariance(g, rnd):
-    assert canonical_key(g) == canonical_key(_shuffled_copy(g, rnd))
+    assert canonical_key(g) == canonical_key(shuffled_copy(g, rnd))
 
 
 @settings(max_examples=60, deadline=None)
@@ -458,19 +459,6 @@ def test_delete_contract_commute_up_to_isomorphism(g, data):
     left = contract_edge_ids(delete_edge_ids(g, (e,)), (f_after,))
     right = delete_edge_ids(contract_edge_ids(g, (f,)), (e_after,))
     assert canonical_key(left) == canonical_key(right)
-
-
-def _shuffled_copy(g: MultiGraph, rng: random.Random) -> MultiGraph:
-    """An isomorphic copy: vertex v becomes vperm[v], edge e moves to
-    position eperm[e]."""
-    vperm = list(range(g.vertex_count))
-    eperm = list(range(g.edge_count))
-    rng.shuffle(vperm)
-    rng.shuffle(eperm)
-    endpoints = [None] * g.edge_count
-    for e, (u, v) in enumerate(g.endpoints):
-        endpoints[eperm[e]] = (vperm[u], vperm[v])
-    return MultiGraph(g.vertex_count, tuple(endpoints))
 
 
 def _doubled(g: MultiGraph) -> MultiGraph:
@@ -505,7 +493,7 @@ def test_canonical_key_matches_full_search_on_random_cubic_graphs():
 
 @pytest.mark.parametrize("name", sorted(symmetric_graphs()))
 def test_canonical_key_matches_full_search_on_symmetric_graphs(name):
-    g = _shuffled_copy(symmetric_graphs()[name], random.Random(name))
+    g = shuffled_copy(symmetric_graphs()[name], random.Random(name))
     assert canonical_key(g) == canonical_key_by_full_search(g)
 
 
@@ -535,7 +523,7 @@ def test_pruned_search_separates_refinement_blind_pairs(pair, doubled):
     rng = random.Random(pair)
     for g, key in zip(members, keys):
         for _ in range(20):
-            assert canonical_key(_shuffled_copy(g, rng)) == key
+            assert canonical_key(shuffled_copy(g, rng)) == key
 
 
 # -- named graphs -----------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Differential tests against an outside oracle: networkx's Tutte and
-chromatic polynomials (computed with sympy) and its biconnected
-components."""
+chromatic polynomials (computed with sympy), its biconnected components
+and its VF2 automorphisms."""
 
 from __future__ import annotations
 
@@ -20,6 +20,8 @@ from graphperiod.invariants import (  # noqa: E402
     tutte_deletion_contraction,
 )
 from graphperiod.polynomials import Polynomial  # noqa: E402
+from graphperiod.symmetry import enumerate_automorphisms, find_free_period  # noqa: E402
+from conftest import SYMMETRIC_CUBIC_LCF, lcf_graph, shuffled_copy  # noqa: E402
 
 X, Y = sympy.symbols("x y")
 
@@ -85,3 +87,47 @@ def test_blocks_match_networkx_biconnected_components():
         assert sorted(blocks(adj)) == expected, g
         split += len(expected) > 1
     assert split
+
+
+def symmetry_cases():
+    """Four symmetric cubic graphs in shuffled labels, and three seeded
+    random cubic graphs on 20 vertices in networkx's labels."""
+    rng = random.Random(2014)
+    out = [
+        (name, shuffled_copy(lcf_graph(*SYMMETRIC_CUBIC_LCF[name]), rng))
+        for name in ("mobius-kantor", "pappus", "desargues", "nauru")
+    ]
+    for seed in range(3):
+        h = nx.random_regular_graph(3, 20, seed=seed)
+        out.append((f"cubic20-{seed}", MultiGraph(20, tuple(h.edges))))
+    return out
+
+
+SYMMETRY_CASES = symmetry_cases()
+
+
+@pytest.mark.parametrize("name,g", SYMMETRY_CASES, ids=[n for n, _ in SYMMETRY_CASES])
+def test_automorphisms_and_free_periods_match_networkx_vf2(name, g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.vertex_count))
+    h.add_edges_from(g.endpoints)
+    matcher = nx.algorithms.isomorphism.GraphMatcher(h, h)
+    vf2 = sorted(
+        tuple(m[v] for v in range(g.vertex_count)) for m in matcher.isomorphisms_iter()
+    )
+    assert len(enumerate_automorphisms(g)) == len(vf2)
+    identity = tuple(range(g.vertex_count))
+    for p in (2, 3, 5, 7):
+        # the first automorphism of order p that maps no edge onto itself
+        expected = None
+        for vp in vf2:
+            power = identity
+            for _ in range(p):
+                power = tuple(vp[v] for v in power)
+            if vp != identity and power == identity and all(
+                {vp[u], vp[v]} != {u, v} for u, v in g.endpoints
+            ):
+                expected = vp
+                break
+        found = find_free_period(g, p)
+        assert (None if found is None else found.vertex_perm) == expected, (name, p)

@@ -199,6 +199,12 @@ def test_substitute_self_is_identity():
     assert substitute(a, {"x": Polynomial.variable(XY, "x")}) == a
 
 
+@pytest.mark.parametrize("value", [2.5, "2"])
+def test_substitute_refuses_values_that_are_not_integers(value):
+    with pytest.raises(ValueError, match="must be integers"):
+        substitute(P("3*x^2"), {"x": value})
+
+
 # -- exact monomial division --------------------------------------------------
 
 
@@ -218,6 +224,12 @@ def test_divide_non_divisible():
 def test_divide_by_one():
     a = parse_polynomial("s^2*t^2 + s*t^2", ST)
     assert divide_exact_monomial(a, {}) == a
+
+
+def test_divide_refuses_exponents_that_are_not_integers():
+    # int() would truncate 1.5 to 1 and return 3*x
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        divide_exact_monomial(P("3*x^2"), {"x": 1.5})
 
 
 # -- power with folding --------------------------------------------------------

@@ -25,9 +25,12 @@ from graphperiod.symmetry import (
     validate_automorphism,
 )
 from conftest import (
+    SYMMETRIC_CUBIC_LCF,
     cycle_rotation,
     free_edge_perm_by_class_orbits,
     free_period_by_enumeration,
+    lcf_graph,
+    shuffled_copy,
 )
 
 PRIMES = (2, 3, 5, 7)
@@ -255,6 +258,53 @@ def test_exclusion_report_budget_holds_per_prime(monkeypatch):
     reports = criteria.exclusion_report(petersen, PRIMES, use_oracle=True)
     skipped = {r.p for r in reports if any("skipped" in note for note in r.notes)}
     assert skipped == {7}
+
+
+# -- label independence ------------------------------------------------------------
+
+# name -> (graph in its own labels, the primes at which it has a free period)
+PERIODIC = {
+    "cycle21": (named_graph("cycle", 21), {3, 7}),
+    "cycle30": (named_graph("cycle", 30), {2, 3, 5}),
+    **{
+        name: (lcf_graph(*SYMMETRIC_CUBIC_LCF[name]), primes)
+        for name, primes in [
+            ("mobius-kantor", {2, 3}),
+            ("pappus", {3}),
+            ("desargues", {2, 3, 5}),
+            ("nauru", {2, 3}),
+            ("f26a", {3}),
+            ("tutte-coxeter", {3, 5}),
+        ]
+    },
+}
+
+
+LABEL_CASES = [("cycle21", (3, 7), 5), ("cycle30", (5,), 5)] + [
+    (name, PRIMES, 1 if name == "tutte-coxeter" else 5) for name in list(PERIODIC)[2:]
+]
+
+
+@pytest.mark.parametrize(
+    "name, primes, copies", LABEL_CASES, ids=[name for name, _, _ in LABEL_CASES]
+)
+def test_period_search_does_not_depend_on_labels(monkeypatch, name, primes, copies):
+    # a search that refines only at the root exceeds 200,000 nodes on many
+    # of these copies; the refining search needs at most 18,962
+    monkeypatch.setattr(symmetry, "SEARCH_NODE_BUDGET", 20_000)
+    g, periodic = PERIODIC[name]
+    rng = random.Random(2014)
+    for p in primes:
+        for copy in [g] + [shuffled_copy(g, rng) for _ in range(copies)]:
+            h = find_free_period(copy, p)
+            assert (h is not None) == (p in periodic), (name, p, copy)
+            if h is not None:
+                symmetry.validate_free_period(copy, h, p)
+
+
+def test_relabelled_tutte_coxeter_automorphism_count():
+    g = shuffled_copy(PERIODIC["tutte-coxeter"][0], random.Random(2014))
+    assert len(enumerate_automorphisms(g)) == 1440
 
 
 # -- vertices that can never be fixed together -----------------------------------
