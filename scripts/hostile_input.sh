@@ -31,8 +31,13 @@ test "$status" -eq 2
 # so it answers as fast as in the cycle's own labels
 python -c 'import random; r = random.Random(1); p = list(range(21)); r.shuffle(p); print("n 21"); [print("e", p[v], p[(v + 1) % 21]) for v in range(21)]' > "$work/c21.graph"
 timeout 60 python -m graphperiod.cli oracle find-period --graph "$work/c21.graph" --p 7 > /dev/null
+# a star on 30 leaves with shuffled labels: the search counts the hub as
+# fixed before it is placed, so no leaf is tried as a fixed vertex
+python -c 'import random; r = random.Random(1); p = list(range(31)); r.shuffle(p); print("n 31"); [print("e", p[0], p[v]) for v in range(1, 31)]' > "$work/star30.graph"
+timeout 60 python -m graphperiod.cli oracle find-period --graph "$work/star30.graph" --p 2 > /dev/null
 status=0
-timeout 60 python -m graphperiod.cli oracle find-period --graph cycle:2000 --p 3 --oracle-limit 5000 || status=$?
+# 5 divides the 2000 edges, so the search runs (3 does not, and answers at once)
+timeout 60 python -m graphperiod.cli oracle find-period --graph cycle:2000 --p 5 --oracle-limit 5000 || status=$?
 echo "oracle find-period on a 2000-cycle exited $status"
 test "$status" -eq 2
 status=0

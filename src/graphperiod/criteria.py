@@ -371,15 +371,20 @@ def exclusion_report(
     raises SoundnessError); when the search gives up, above ``oracle_limit``
     vertices or past the node budget, the reports say so.  The search root
     (adjacency and colour refinement) is built once per graph and serves
-    the search at every prime; the node budget holds per search.  Every
-    prime is tested before any of this work starts."""
+    the search at every prime; the node budget holds per search.  It is
+    built only when some prime divides the edge count, since the search
+    answers the others without it, or to note that the graph is above
+    ``oracle_limit``.  Every prime is tested before any of this work
+    starts."""
     primes = sorted({require_prime(p, "p") for p in primes})
     _require_connected(g, "exclusion report")
     label = graph_label or _default_label(g)
     tutte = tutte_deletion_contraction(g).shifted
     negami = negami_from_tutte(g, tutte)
     root = skipped = None
-    if use_oracle:
+    if use_oracle and (
+        g.vertex_count > oracle_limit or any(g.edge_count % p == 0 for p in primes)
+    ):
         try:
             root = _search_root(g, oracle_limit)
         except OracleLimitError as exc:

@@ -178,6 +178,8 @@ def test_search_matches_enumeration_on_random_multigraphs(p):
     graphs = [random_multigraph(rng, max_vertices=7, max_edges=12) for _ in range(300)]
     assert any(u == v for g in graphs for u, v in g.endpoints)
     assert any(len(set(g.endpoints)) < g.edge_count for g in graphs)
+    # the search answers these without a node, the enumeration does not
+    assert sum(g.edge_count % p != 0 for g in graphs) > 100
     for g in graphs:
         _assert_same_witness(g, p)
 
@@ -247,20 +249,51 @@ def test_exclusion_report_notes_exceeded_budget(monkeypatch):
 
 
 def test_exclusion_report_budget_holds_per_prime(monkeypatch):
-    # Petersen's searches take 116, 20, 28 and 305 nodes at p = 2, 3, 5, 7:
-    # each fits a budget of 305, the four together do not
+    # Petersen's searches take 20 and 28 nodes at p = 3 and 5, and none at
+    # p = 2 and 7, which do not divide its 15 edges: each fits a budget of
+    # 28, the two together do not
     petersen = named_graph("petersen")
-    monkeypatch.setattr(symmetry, "SEARCH_NODE_BUDGET", 305)
+    monkeypatch.setattr(symmetry, "SEARCH_NODE_BUDGET", 28)
     reports = criteria.exclusion_report(petersen, PRIMES, use_oracle=True)
     assert len(reports) == 8
     assert not any("skipped" in note for r in reports for note in r.notes)
-    monkeypatch.setattr(symmetry, "SEARCH_NODE_BUDGET", 304)
+    monkeypatch.setattr(symmetry, "SEARCH_NODE_BUDGET", 27)
     reports = criteria.exclusion_report(petersen, PRIMES, use_oracle=True)
     skipped = {r.p for r in reports if any("skipped" in note for note in r.notes)}
-    assert skipped == {7}
+    assert skipped == {5}
+    monkeypatch.setattr(symmetry, "SEARCH_NODE_BUDGET", 0)
+    reports = criteria.exclusion_report(petersen, (2, 7), use_oracle=True)
+    assert len(reports) == 4
+    for r in reports:
+        assert f"oracle: free period of order {r.p} not found" in r.notes
 
 
 # -- label independence ------------------------------------------------------------
+
+def _star(k):
+    return MultiGraph(k + 1, tuple((0, i) for i in range(1, k + 1)))
+
+
+def _wheel(k):
+    """A hub joined to every vertex of a k-cycle."""
+    rim = tuple((i, i % k + 1) for i in range(1, k + 1))
+    return MultiGraph(k + 1, _star(k).endpoints + rim)
+
+
+def _sun(k):
+    """A k-cycle with one pendant vertex on each of its vertices."""
+    cycle = tuple((i, (i + 1) % k) for i in range(k))
+    return MultiGraph(2 * k, cycle + tuple((i, k + i) for i in range(k)))
+
+
+def _spider(legs, length):
+    """``legs`` paths of ``length`` edges joined at one end."""
+    edges = []
+    for leg in range(legs):
+        path = [0] + [1 + leg * length + j for j in range(length)]
+        edges += zip(path, path[1:])
+    return MultiGraph(1 + legs * length, tuple(edges))
+
 
 # name -> (graph in its own labels, the primes at which it has a free period)
 PERIODIC = {
@@ -277,12 +310,24 @@ PERIODIC = {
             ("tutte-coxeter", {3, 5}),
         ]
     },
+    # every automorphism fixes the hub of a star, wheel or spider, and no
+    # free period fixes a pendant vertex of the sun
+    "star20": (_star(20), {2, 5}),
+    "star30": (_star(30), {2, 3, 5}),
+    "wheel20": (_wheel(20), {2, 5}),
+    "sun10": (_sun(10), {2, 5}),
+    "spider6x3": (_spider(6, 3), {2, 3}),
 }
 
 
-LABEL_CASES = [("cycle21", (3, 7), 5), ("cycle30", (5,), 5)] + [
-    (name, PRIMES, 1 if name == "tutte-coxeter" else 5) for name in list(PERIODIC)[2:]
-]
+LABEL_CASES = (
+    [("cycle21", (3, 7), 5), ("cycle30", (5,), 5)]
+    + [
+        (name, PRIMES, 1 if name == "tutte-coxeter" else 5)
+        for name in SYMMETRIC_CUBIC_LCF
+    ]
+    + [(name, PRIMES, 8) for name in ("star20", "star30", "wheel20", "sun10", "spider6x3")]
+)
 
 
 @pytest.mark.parametrize(
@@ -290,7 +335,8 @@ LABEL_CASES = [("cycle21", (3, 7), 5), ("cycle30", (5,), 5)] + [
 )
 def test_period_search_does_not_depend_on_labels(monkeypatch, name, primes, copies):
     # a search that refines only at the root exceeds 200,000 nodes on many
-    # of these copies; the refining search needs at most 18,962
+    # of these copies, and so does one that counts a hub as fixed only once
+    # it is placed, on shuffled stars; this search needs at most 18,962
     monkeypatch.setattr(symmetry, "SEARCH_NODE_BUDGET", 20_000)
     g, periodic = PERIODIC[name]
     rng = random.Random(2014)
@@ -307,13 +353,65 @@ def test_relabelled_tutte_coxeter_automorphism_count():
     assert len(enumerate_automorphisms(g)) == 1440
 
 
+# -- the cuts that need no search ------------------------------------------------
+
+FIVE_HEXAGONS = MultiGraph(
+    30, tuple((6 * i + j, 6 * i + (j + 1) % 6) for i in range(5) for j in range(6))
+)
+# 0 and 6 are joined to every other vertex, and 1 to 5
+TWO_HUBS = MultiGraph(
+    7,
+    tuple((0, v) for v in range(1, 7)) + tuple((v, 6) for v in range(1, 6)) + ((1, 5),),
+)
+
+
+@pytest.mark.parametrize(
+    "g, p",
+    [
+        (named_graph("petersen"), 2),
+        (named_graph("petersen"), 7),
+        (FIVE_HEXAGONS, 7),
+        (named_graph("path", 4), 3),
+        (TWO_HUBS, 3),
+    ],
+    ids=["petersen-2", "petersen-7", "five-hexagons-7", "path4-3", "two-hubs-3"],
+)
+def test_ruled_out_without_a_search_node(monkeypatch, g, p):
+    # p does not divide 15 or 30 edges; path:4 has 3 edges, but its root
+    # cells {0, 3} and {1, 2} each need 2 mod 3 = 2 fixed vertices, and no
+    # vertex has a degree divisible by 3; the two hubs, of degree 6, need
+    # to be fixed together, but one edge joins them
+    monkeypatch.setattr(symmetry, "SEARCH_NODE_BUDGET", 0)
+    assert find_free_period(g, p) is None
+
+
+def test_root_cells_settle_most_small_pairs(monkeypatch):
+    # 96 of the 150 pairs at p = 2, 3, 5 and all 25 at p = 7 but the
+    # single vertex's, with no search node
+    monkeypatch.setattr(symmetry, "SEARCH_NODE_BUDGET", 0)
+    pairs, settled = 0, []
+    for g in connected_simple_graphs(6):
+        for p in PRIMES:
+            if g.edge_count % p == 0:
+                pairs += 1
+                try:
+                    settled.append((g, p, find_free_period(g, p)))
+                except OracleLimitError:
+                    pass
+    assert (pairs, len(settled)) == (175, 120)
+    monkeypatch.undo()
+    for g, p, h in settled:
+        assert h is None and free_period_by_enumeration(g, p) is None, (g, p)
+
+
 # -- vertices that can never be fixed together -----------------------------------
 
 
 @pytest.mark.parametrize("n, p", [(12, 5), (10, 7), (11, 7), (12, 7)])
 def test_complete_graph_without_free_period_answers_none(n, p):
     # n mod p >= 2 vertices must be fixed, and any two are joined by one
-    # edge, a class that <h> fixes although p does not divide its size
+    # edge, a class that <h> fixes although p does not divide its size;
+    # p does not divide the edge count either, which settles it first
     assert find_free_period(named_graph("complete", n), p) is None
 
 
