@@ -53,10 +53,6 @@ from .polynomials import (
 from .symmetry import (
     DEFAULT_VERTEX_LIMIT,
     OracleLimitError,
-    _first_free_period,
-    _search_root,
-    # not called here: the benchmark's tracer (perfbench/spans.py) wraps
-    # this module's find_free_period, so the name stays importable from it
     find_free_period,
     quotient_graph,
     validate_free_period,
@@ -369,31 +365,19 @@ def exclusion_report(
     exponents.  With ``use_oracle`` the free-period search cross-checks
     that no excluded prime actually has a free period (a contradiction
     raises SoundnessError); when the search gives up, above ``oracle_limit``
-    vertices or past the node budget, the reports say so.  The search root
-    (adjacency and colour refinement) is built once per graph and serves
-    the search at every prime; the node budget holds per search.  It is
-    built only when some prime divides the edge count, since the search
-    answers the others without it, or to note that the graph is above
-    ``oracle_limit``.  Every prime is tested before any of this work
-    starts."""
+    vertices or past the node budget, the reports say so.  The search
+    runs once per prime, and the node budget holds per search.  Every
+    prime is tested before any of this work starts."""
     primes = sorted({require_prime(p, "p") for p in primes})
     _require_connected(g, "exclusion report")
     label = graph_label or _default_label(g)
     tutte = tutte_deletion_contraction(g).shifted
     negami = negami_from_tutte(g, tutte)
-    root = skipped = None
-    if use_oracle and (
-        g.vertex_count > oracle_limit or any(g.edge_count % p == 0 for p in primes)
-    ):
-        try:
-            root = _search_root(g, oracle_limit)
-        except OracleLimitError as exc:
-            skipped = f"oracle: skipped, {exc}"
     reports = []
     for p in primes:
         witness, notes = None, ()
         if use_oracle:
-            witness, note = (None, skipped) if skipped else _oracle_search(g, p, root)
+            witness, note = _oracle_search(g, p, oracle_limit)
             notes = (note,)
         per_prime = [
             check_tutte_coefficients(g, p, graph_label=label, tutte=tutte, notes=notes),
@@ -409,11 +393,11 @@ def exclusion_report(
     return reports
 
 
-def _oracle_search(g, p, root):
-    """The free period of order p that the search from ``root`` finds, or
-    None, and the oracle's note: whether it found one, or why it gave up."""
+def _oracle_search(g, p, limit):
+    """The free period of order p that ``find_free_period`` finds, or None,
+    and the oracle's note: whether it found one, or why it gave up."""
     try:
-        witness = _first_free_period(g, p, root)
+        witness = find_free_period(g, p, limit=limit)
     except OracleLimitError as exc:
         return None, f"oracle: skipped, {exc}"
     return witness, f"oracle: free period of order {p} " + (

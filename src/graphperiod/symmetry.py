@@ -25,6 +25,7 @@ of <h> to a single vertex/edge.
 
 from __future__ import annotations
 
+import functools
 import math
 from operator import index
 
@@ -142,17 +143,24 @@ def automorphism_from_vertex_perm(g: MultiGraph, vertex_perm) -> Automorphism:
     return h
 
 
-def _search_root(g: MultiGraph, limit):
+def _require_within(g: MultiGraph, limit):
+    """Raise OracleLimitError when g has more than ``limit`` vertices."""
+    if g.vertex_count > limit:
+        raise OracleLimitError(f"{g.vertex_count} vertices exceed the limit of {limit}")
+
+
+@functools.lru_cache(maxsize=1)
+def _search_root(g: MultiGraph):
     """(loops, adj, cells, levels, first): the graph's loop counts and
     adjacency multiplicities, each vertex's refined colour cell, and the
     domain colourings and image cache of ``_vertex_automorphisms``, which
     every search on g extends and shares.
 
-    Raises OracleLimitError above ``limit`` vertices.
+    The root depends only on g's vertex count and endpoints, so it is kept
+    for the last graph: the primes of one ``exclusion_report``, and any
+    later search on an equal graph, share what earlier searches added.
     """
     n = g.vertex_count
-    if n > limit:
-        raise OracleLimitError(f"{n} vertices exceed the limit of {limit}")
     loops, adj = _adjacency(g)
     levels = [_refine(n, adj, loops, [0] * n)]
     cells: dict = {}
@@ -164,7 +172,7 @@ def _search_root(g: MultiGraph, limit):
 def _vertex_automorphisms(root, *, period=None):
     """Vertex permutations preserving loop counts and adjacency
     multiplicities, in vertex-lexicographic order, by backtracking from
-    ``root`` (see ``_search_root``).
+    the search root ``root`` of a graph (see ``_search_root``).
 
     Vertex k is placed on the unplaced vertices of its colour, ascending,
     that keep its multiplicities to 0..k-1.  The domain colouring
@@ -173,7 +181,10 @@ def _vertex_automorphisms(root, *, period=None):
     after which the two sort differently is cut.  Where individualising k
     splits off only k, neither side is split: on a branch that extends,
     the image side splits off only the image.  ``first`` keeps the image
-    side's split of the root colouring for every search on the root.
+    side's split of the root colouring for every search on the root.  The
+    root outlives the search, so each is extended only with finished
+    entries: a search stopped by the budget or an interrupt leaves it
+    whole.
 
     With a prime ``period`` p every branch that cannot extend to a free
     action of order p is cut as well, and the search yields nothing when
@@ -202,11 +213,12 @@ def _vertex_automorphisms(root, *, period=None):
             # individualising k splits off more than k exactly when two
             # vertices of one colour differ in their multiplicity to k
             to_k = {}
-            levels.append(here)
+            deeper = here
             for x, c in enumerate(here):
                 if x != k and to_k.setdefault(c, row.get(x, 0)) != row.get(x, 0):
-                    levels[k + 1] = _individualise(adj, loops, here, k)
+                    deeper = _individualise(adj, loops, here, k)
                     break
+            levels.append(deeper)
         for w in cells[k] if colors is levels[0] else range(n):
             if colors[w] != here[k] or preimage[w] != -1:
                 continue
@@ -242,8 +254,9 @@ def _vertex_automorphisms(root, *, period=None):
 def enumerate_automorphisms(g: MultiGraph, *, limit=DEFAULT_VERTEX_LIMIT):
     """Complete automorphism list, each vertex permutation paired with the
     canonical edge permutation, sorted by vertex permutation."""
+    _require_within(g, limit)
     edge_index = _edge_index(g)
-    vertex_perms = list(_vertex_automorphisms(_search_root(g, limit)))
+    vertex_perms = list(_vertex_automorphisms(_search_root(g)))
     return [Automorphism(vp, _induced_edge_perm(edge_index, vp)) for vp in vertex_perms]
 
 
@@ -290,8 +303,7 @@ def _period_step(p, loops, adj, cell_of, image, preimage):
       completed: its open chains need more vertices than it has left
       unplaced, or the fixed vertices it still needs (its size minus its
       fixed vertices is divisible by p) outnumber the unplaced vertices
-      that could still be fixed, or it needs two or more and no two of
-      those vertices could be fixed together.
+      that could still be fixed.
 
     Returns None instead when some root cell cannot be completed with
     nothing placed.  There a vertex can be fixed only if its degree is
@@ -355,14 +367,6 @@ def _period_step(p, loops, adj, cell_of, image, preimage):
             ]
             if len(free) < need:
                 return False
-            # two of them end fixed together, so they must be joined by a
-            # class of multiplicity divisible by p (0 included)
-            if need >= 2 and not any(
-                adj[x].get(y, 0) % p == 0
-                for i, x in enumerate(free)
-                for y in free[i + 1 :]
-            ):
-                return False
         return True
 
     def fixable_alone(x):
@@ -380,23 +384,19 @@ def find_free_period(g: MultiGraph, p: int, *, limit=DEFAULT_VERTEX_LIMIT):
     identity vertex permutation is considered too: parallel classes of
     multiplicity divisible by p admit a free edge action on their own.
 
+    Raises OracleLimitError above ``limit`` vertices, at every prime p.
     Every edge orbit of a free action has p edges, so the answer is None
     without a search when p does not divide the edge count, and when a
     root colour cell, a union of vertex orbits, cannot be made of orbits
-    of sizes 1 and p (see ``_period_step``).
+    of sizes 1 and p (see ``_period_step``).  The search root is kept for
+    the last graph (see ``_search_root``).
     """
     p = require_prime(p, "period")
-    return _first_free_period(g, p, _search_root(g, limit))
-
-
-def _first_free_period(g: MultiGraph, p: int, root):
-    """``find_free_period`` for a prime p, from a search root of g already
-    built (see ``_search_root``); the root is not read when p does not
-    divide the edge count."""
+    _require_within(g, limit)
     if g.edge_count % p:
         return None  # every edge orbit of a free action has p edges
     identity_v = tuple(range(g.vertex_count))
-    for vp in _vertex_automorphisms(root, period=p):
+    for vp in _vertex_automorphisms(_search_root(g), period=p):
         if vp == identity_v and g.edge_count == 0:
             continue  # the identity pair has order 1, not p
         ep = _free_edge_perm(g, vp, p)

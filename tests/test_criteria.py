@@ -364,7 +364,7 @@ def test_the_entry_points_take_a_prime():
 
 def test_exclusion_report_tests_every_prime_before_any_work(monkeypatch):
     calls = []
-    for name in ("tutte_deletion_contraction", "_search_root", "_first_free_period"):
+    for name in ("tutte_deletion_contraction", "find_free_period"):
         monkeypatch.setattr(criteria, name, lambda *args, name=name, **kw: calls.append(name))
     with pytest.raises(ValueError, match="p must be prime, got 0"):
         exclusion_report(CYCLE_4, [2, 0], use_oracle=True)

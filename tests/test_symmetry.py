@@ -372,15 +372,13 @@ TWO_HUBS = MultiGraph(
         (named_graph("petersen"), 7),
         (FIVE_HEXAGONS, 7),
         (named_graph("path", 4), 3),
-        (TWO_HUBS, 3),
     ],
-    ids=["petersen-2", "petersen-7", "five-hexagons-7", "path4-3", "two-hubs-3"],
+    ids=["petersen-2", "petersen-7", "five-hexagons-7", "path4-3"],
 )
 def test_ruled_out_without_a_search_node(monkeypatch, g, p):
     # p does not divide 15 or 30 edges; path:4 has 3 edges, but its root
     # cells {0, 3} and {1, 2} each need 2 mod 3 = 2 fixed vertices, and no
-    # vertex has a degree divisible by 3; the two hubs, of degree 6, need
-    # to be fixed together, but one edge joins them
+    # vertex has a degree divisible by 3
     monkeypatch.setattr(symmetry, "SEARCH_NODE_BUDGET", 0)
     assert find_free_period(g, p) is None
 
@@ -415,6 +413,13 @@ def test_complete_graph_without_free_period_answers_none(n, p):
     assert find_free_period(named_graph("complete", n), p) is None
 
 
+def test_hubs_joined_by_one_edge_have_no_free_period():
+    # at p = 3 the two hubs, of degree 6, must both be fixed, and <h> would
+    # then fix the one edge between them
+    assert find_free_period(TWO_HUBS, 3) is None
+    _assert_same_witness(TWO_HUBS, 3)
+
+
 @pytest.mark.parametrize("multiplicity", [0, 3])
 def test_fixed_pair_joined_by_a_multiple_of_p(multiplicity):
     # K33 with each side's pairs joined by 0 or 3 edges: at p = 3 the first
@@ -426,6 +431,44 @@ def test_fixed_pair_joined_by_a_multiple_of_p(multiplicity):
     h = find_free_period(g, 3)
     assert h is not None and h.vertex_perm[:3] == (0, 1, 2)
     _assert_same_witness(g, 3)
+
+
+# -- the search root kept for the last graph --------------------------------------
+
+
+def _answers(calls, *, fresh):
+    """find_free_period(g, p), or enumerate_automorphisms(g) where p is
+    None, for each call in turn; with ``fresh`` each on a new root."""
+    out = []
+    for g, p in calls:
+        if fresh:
+            symmetry._search_root.cache_clear()
+        out.append(enumerate_automorphisms(g) if p is None else find_free_period(g, p))
+    return out
+
+
+def test_kept_root_answers_as_a_fresh_one():
+    # searches on A, on another graph B and on an equal copy of A take
+    # turns, each starting from the root the one before it left
+    rng = random.Random(40)
+    a = shuffled_copy(named_graph("petersen"), rng)
+    b = shuffled_copy(lcf_graph(*SYMMETRIC_CUBIC_LCF["mobius-kantor"]), rng)
+    a_copy = MultiGraph(a.vertex_count, a.endpoints)
+    assert a_copy == a and a_copy is not a
+    calls = [(g, p) for p in (2, 3, None, 5, 7) for g in (a, b, a_copy, a)]
+    assert _answers(calls, fresh=False) == _answers(calls, fresh=True)
+
+
+def test_search_stopped_by_the_budget_leaves_the_root_whole(monkeypatch):
+    frucht = named_graph("frucht")
+    calls = [(frucht, 3), (frucht, None)]
+    fresh = _answers(calls, fresh=True)
+    symmetry._search_root.cache_clear()
+    monkeypatch.setattr(symmetry, "SEARCH_NODE_BUDGET", 10)
+    with pytest.raises(OracleLimitError, match="budget of 10 nodes"):
+        find_free_period(frucht, 3)
+    monkeypatch.undo()
+    assert _answers(calls, fresh=False) == fresh
 
 
 # -- orbits ---------------------------------------------------------------------
