@@ -1,8 +1,6 @@
-"""Exhaustive and random graph families for sweeps and property tests."""
+"""The exhaustive family of connected simple graphs, for sweeps and tests."""
 
 from __future__ import annotations
-
-import random
 
 # canonical_key is not called here, but the benchmark's tracer
 # (perfbench/spans.py) wraps it on this module by name, so it stays imported.
@@ -43,7 +41,7 @@ def connected_simple_graphs(max_vertices: int):
                 candidate.append(dict.fromkeys(neighbours, 1))
                 # the canonical key, the candidate's map as bytes in the
                 # order of the search's minimum leaf, tells the classes apart
-                key, maps, twins = _canonical_search([0] * n, candidate)
+                key, maps, twins, _ = _canonical_search([0] * n, candidate)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -88,28 +86,4 @@ def _orbit_representatives(n: int, automorphisms):
                     covered[y] = 1
                     stack.append(y)
     return out
-
-
-def loop_parallel_variants(g: MultiGraph):
-    """The graph itself plus versions with one loop added, one edge doubled,
-    and both."""
-    yield g
-    if g.vertex_count == 0:
-        return
-    with_loop = MultiGraph(g.vertex_count, g.endpoints + ((0, 0),))
-    yield with_loop
-    if g.edge_count:
-        doubled = MultiGraph(g.vertex_count, g.endpoints + (g.endpoints[0],))
-        yield doubled
-        yield MultiGraph(g.vertex_count, doubled.endpoints + ((0, 0),))
-
-
-def random_multigraph(rng: random.Random, max_vertices=5, max_edges=8) -> MultiGraph:
-    """Random multigraph with loops and parallel edges allowed."""
-    n = rng.randint(1, max_vertices)
-    q = rng.randint(0, max_edges)
-    edges = tuple(
-        (rng.randrange(n), rng.randrange(n)) for _ in range(q)
-    )
-    return MultiGraph(n, edges)
 

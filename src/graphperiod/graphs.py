@@ -493,11 +493,12 @@ def _individualise(adj, loops, colors, v):
 
 
 def _canonical_search(loops, adj):
-    """(key, automorphisms, twins) of a graph given as its loop counts and
-    adjacency map: the minimum leaf encoding, which is its canonical key,
-    the vertex maps the search found between leaves with equal encodings,
-    and the vertex pairs whose transposition it pruned with.  Every map and
-    every transposition is an automorphism of the graph."""
+    """(key, automorphisms, twins, order) of a graph given as its loop
+    counts and adjacency map: the minimum leaf encoding, which is its
+    canonical key, the vertex maps the search found between leaves with
+    equal encodings, the vertex pairs whose transposition it pruned with,
+    and the vertex order of the minimum leaf.  Every map and every
+    transposition is an automorphism of the graph."""
     n = len(adj)
     best = best_path = best_order = None
     automorphisms = []
@@ -570,7 +571,7 @@ def _canonical_search(loops, adj):
         return None
 
     search(_refine(n, adj, loops, [0] * n), ())
-    return best, automorphisms, twins
+    return best, automorphisms, twins, best_order
 
 
 def _closure(points, maps):
@@ -590,7 +591,21 @@ def _closure(points, maps):
 
 
 def canonical_key(g: MultiGraph) -> bytes:
-    """Exact canonical form, the graph's ``encoding`` in the order of its
-    canonical search's minimum leaf: equal for isomorphic multigraphs,
-    distinct otherwise.  Safe as a memoization key."""
-    return _canonical_search(*_adjacency(g))[0]
+    """Exact canonical form, the graph's ``encoding`` in a canonical order:
+    equal for isomorphic multigraphs, distinct otherwise.  Safe as a
+    memoization key.  Each component is searched on its own, and the order
+    is the components' minimum-leaf orders, the components sorted by their
+    keys: isomorphic components encode alike in any arrangement, so no
+    search meets their swaps.  A connected graph's key is its search's."""
+    loops, adj = _adjacency(g)
+    members = {}
+    for v, label in enumerate(_component_labels(g.vertex_count, g.endpoints)):
+        members.setdefault(label, []).append(v)
+    parts = []
+    for part in members.values():
+        key, _, _, order = _canonical_search([loops[v] for v in part], submap(adj, part))
+        parts.append((key, [part[i] for i in order]))
+    if len(parts) == 1:
+        return parts[0][0]
+    parts.sort()
+    return encoding(adj, loops, [v for _, order in parts for v in order])

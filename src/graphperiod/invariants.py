@@ -11,8 +11,9 @@ Three invariants of a multigraph G with r vertices, q edges and w components:
   recurs, as the minors of a ladder's maximal series paths do, is computed
   once.  A series path P of k edges gives
   (1 + ... + x^(k-1)) tau(G - P) + tau(G / P); a block without one is
-  memoized under the same bytes in canonical order as well, so isomorphic
-  blocks share a value, and split on a whole parallel class.
+  split on a whole parallel class, and once a second block of its layout
+  and degree sequence turns up, both are memoized under the same bytes in
+  canonical order as well, so isomorphic blocks share a value.
   The recursion reads each graph as one adjacency map,
   vertex -> {neighbour: multiplicity} (``graphs._adjacency``, built once
   per call), so a parallel class is one entry, and splits, deletes and
@@ -285,8 +286,14 @@ def _tau_block(adj, memo, layout) -> int:
     lines apart in one dict.  Deletion keeps labels and ``submap``
     renumbers a block by its sorted vertices, so the same labelled block
     recurs across the branches of one call and across calls; the canonical
-    key, dearer, is taken only on a labelled miss and lets isomorphic
-    blocks share a value."""
+    key, dearer, lets isomorphic blocks share a value and is taken only
+    when it can hit.  Isomorphic blocks share the shape key (own layout,
+    sorted degrees): the first split block of a shape is computed
+    unsearched and parked there as [(map, labelled key)]; the next labelled
+    miss of the shape keys the parked map canonically, empties the list
+    (kept as the mark of a seen shape) and looks itself up.  So every block
+    that could give a canonical hit is keyed before a later one looks it
+    up, and the recursion visits the nodes a search on every miss would."""
     width, depth = layout
     y_zero = depth == 1
     x = 1 << width * depth
@@ -321,8 +328,15 @@ def _tau_block(adj, memo, layout) -> int:
         joined = _tau(*contract_edges(adj, path), memo, own)
         cached = _ones(len(path), own[0] * own[1]) * rest + joined
     else:
-        key = (own, _canonical_search(loopless, adj)[0])
-        cached = memo.get(key)
+        shape = (own, tuple(sorted(degree)))
+        parked = memo.get(shape)
+        key = labelled
+        if parked is not None:
+            for other, at in parked:
+                memo[own, _canonical_search(loopless, other)[0]] = memo[at]
+            parked.clear()
+            key = (own, _canonical_search(loopless, adj)[0])
+            cached = memo.get(key)
         if cached is None:
             w = _default_chooser(adj)
             parallel = [(0, w)]
@@ -332,6 +346,10 @@ def _tau_block(adj, memo, layout) -> int:
                 adj[0][w], own[0]
             ) * _tau(*contract_edges(adj, parallel), memo, own)
             memo[key] = cached
+        if parked is None:
+            # parked only now that memo[labelled] holds its value: a
+            # recursion cut short parks no block whose value is missing
+            memo[shape] = [(adj, labelled)]
     memo[labelled] = cached
     return _repack(cached, own, layout)
 

@@ -18,11 +18,7 @@ from graphperiod.graphs import (
     encoding,
     named_graph,
 )
-from graphperiod.families import (
-    connected_simple_graphs,
-    loop_parallel_variants,
-    random_multigraph,
-)
+from graphperiod.families import connected_simple_graphs
 from graphperiod.invariants import CHROMATIC_VARS, TUTTE_SHIFTED_VARS
 from graphperiod.polynomials import ModPolynomial, Polynomial, substitute
 from graphperiod.symmetry import (
@@ -136,6 +132,31 @@ def chromatic_from_negami(n) -> Polynomial:
     if n.edge_count % 2:
         value = -value
     return value
+
+
+# -- test-only generators ---------------------------------------------------------
+
+
+def loop_parallel_variants(g: MultiGraph):
+    """The graph itself plus versions with one loop added, one edge doubled,
+    and both."""
+    yield g
+    if g.vertex_count == 0:
+        return
+    with_loop = MultiGraph(g.vertex_count, g.endpoints + ((0, 0),))
+    yield with_loop
+    if g.edge_count:
+        doubled = MultiGraph(g.vertex_count, g.endpoints + (g.endpoints[0],))
+        yield doubled
+        yield MultiGraph(g.vertex_count, doubled.endpoints + ((0, 0),))
+
+
+def random_multigraph(rng: random.Random, max_vertices=5, max_edges=8) -> MultiGraph:
+    """Random multigraph with loops and parallel edges allowed."""
+    n = rng.randint(1, max_vertices)
+    q = rng.randint(0, max_edges)
+    edges = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(q))
+    return MultiGraph(n, edges)
 
 
 # -- small graphs and brute-force oracles -----------------------------------------
@@ -346,13 +367,40 @@ def free_period_by_enumeration(g: MultiGraph, p: int):
 
 def canonical_key_by_full_search(g: MultiGraph) -> bytes:
     """Independent oracle for canonical_key's pruning: the same refinement
-    and leaf encoding on the whole graph, but the search visits every child
+    and leaf encoding on each component, but the search visits every child
     of every node except twins (vertices whose transposition is an
     automorphism), with no automorphisms recorded at leaves and no
-    backjumping."""
-    n = g.vertex_count
+    backjumping.  The components' minimum-leaf orders are joined with the
+    components sorted by their keys, and a connected graph's key is its
+    component's."""
     loops, adj = _adjacency(g)
-    best = None
+    unseen = set(range(g.vertex_count))
+    parts = []
+    while unseen:
+        part = {min(unseen)}
+        stack = list(part)
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in part:
+                    part.add(w)
+                    stack.append(w)
+        unseen -= part
+        part = sorted(part)
+        position = {v: i for i, v in enumerate(part)}
+        sub = [{position[w]: m for w, m in adj[v].items()} for v in part]
+        key, order = _full_search([loops[v] for v in part], sub)
+        parts.append((key, [part[i] for i in order]))
+    if len(parts) == 1:
+        return parts[0][0]
+    parts.sort()
+    return encoding(adj, loops, [v for _, order in parts for v in order])
+
+
+def _full_search(loops, adj):
+    """The minimum leaf encoding of the map adj with the given loop counts,
+    and its vertex order, over every non-twin child of every node."""
+    n = len(adj)
+    best = best_order = None
 
     def swappable(u, v):
         row_u = {x: m for x, m in adj[u].items() if x != v}
@@ -360,7 +408,7 @@ def canonical_key_by_full_search(g: MultiGraph) -> bytes:
         return row_u == row_v
 
     def search(colors):
-        nonlocal best
+        nonlocal best, best_order
         cells = {}
         for v, c in enumerate(colors):
             cells.setdefault(c, []).append(v)
@@ -370,9 +418,10 @@ def canonical_key_by_full_search(g: MultiGraph) -> bytes:
                 target = cells[c]
                 break
         if target is None:
-            enc = encoding(adj, loops, sorted(range(n), key=colors.__getitem__))
+            order = sorted(range(n), key=colors.__getitem__)
+            enc = encoding(adj, loops, order)
             if best is None or enc < best:
-                best = enc
+                best, best_order = enc, order
             return
         skip = set()
         for i, v in enumerate(target):
@@ -386,7 +435,7 @@ def canonical_key_by_full_search(g: MultiGraph) -> bytes:
             search(_refine(n, adj, loops, split))
 
     search(_refine(n, adj, loops, [0] * n))
-    return best
+    return best, best_order
 
 
 def first_seen_connected_simple_graphs(max_vertices: int):

@@ -19,11 +19,7 @@ from graphperiod.criteria import (
     check_tutte_quotient_congruence,
     NotSelfDualError,
 )
-from graphperiod.families import (
-    connected_simple_graphs,
-    loop_parallel_variants,
-    random_multigraph,
-)
+from graphperiod.families import connected_simple_graphs
 from graphperiod.graphs import is_connected, named_graph
 from graphperiod.invariants import (
     TUTTE_SHIFTED_VARS,
@@ -38,7 +34,9 @@ from conftest import (
     chromatic_from_negami,
     count_spanning_trees,
     cycle_rotation,
+    loop_parallel_variants,
     parse_polynomial,
+    random_multigraph,
     tutte_from_negami,
 )
 

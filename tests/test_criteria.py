@@ -6,7 +6,6 @@ import random
 import pytest
 
 from graphperiod import cli, criteria, graphs
-from graphperiod.families import random_multigraph
 from graphperiod.graphs import is_connected, named_graph, parse_edge_list
 from graphperiod.invariants import (
     negami_polynomial,
@@ -31,7 +30,12 @@ from graphperiod.criteria import (
 )
 from graphperiod.polynomials import ModPolynomial, Polynomial, reduce_mod_p
 from graphperiod.symmetry import find_free_period, validate_free_period
-from conftest import cycle_rotation, periodicity_survey, tutte_from_negami
+from conftest import (
+    cycle_rotation,
+    periodicity_survey,
+    random_multigraph,
+    tutte_from_negami,
+)
 
 PETERSEN = named_graph("petersen")
 FRUCHT = named_graph("frucht")

@@ -3,13 +3,13 @@ first-seen oracle, and the automorphisms it skips with."""
 
 from __future__ import annotations
 
-from conftest import first_seen_connected_simple_graphs, symmetric_graphs
-from graphperiod import families
-from graphperiod.families import (
-    _orbit_representatives,
-    connected_simple_graphs,
+from conftest import (
+    first_seen_connected_simple_graphs,
     loop_parallel_variants,
+    symmetric_graphs,
 )
+from graphperiod import families
+from graphperiod.families import _orbit_representatives, connected_simple_graphs
 from graphperiod.graphs import _adjacency, _canonical_search
 
 
@@ -48,7 +48,7 @@ def test_every_map_of_the_key_search_is_an_automorphism():
     found = 0
     for g in graphs:
         loops, adj = _adjacency(g)
-        _, maps, twins = _canonical_search(loops, adj)
+        _, maps, twins, _ = _canonical_search(loops, adj)
         for u, v in twins:
             swap = list(range(g.vertex_count))
             swap[u], swap[v] = v, u

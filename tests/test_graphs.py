@@ -2,19 +2,16 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphperiod import graphs
+from graphperiod import graphs, invariants
 from graphperiod.invariants import tutte_deletion_contraction
-from graphperiod.families import (
-    connected_simple_graphs,
-    loop_parallel_variants,
-    random_multigraph,
-)
+from graphperiod.families import connected_simple_graphs
 from graphperiod.graphs import (
     MAX_EDGES,
     MAX_VERTICES,
@@ -41,8 +38,10 @@ from conftest import (
     contract_edge_ids,
     delete_edge_ids,
     girth,
+    loop_parallel_variants,
     prism,
     random_cubic,
+    random_multigraph,
     rook_4x4,
     shrikhande,
     shuffled_copy,
@@ -330,10 +329,15 @@ def test_map_minors_match_the_edge_id_route():
     assert joined_ends
 
 
-def test_block_key_is_the_canonical_key_of_a_block():
+def test_block_key_is_the_canonical_key_of_a_block(monkeypatch):
     # the recursion keys a block with no degree-2 vertex on the canonical
-    # search run on the block's map; that is canonical_key of the block
+    # search run on the block's map; that is canonical_key of the block.
+    # It takes the key once a second block of the same degree sequence
+    # turns up, so a relabelled copy finds the first block's value there
     rng = random.Random(5)
+    chosen = []
+    choose = invariants._default_chooser
+    monkeypatch.setattr(invariants, "_default_chooser", lambda adj: chosen.append(1) or choose(adj))
     keyed = 0
     for _ in range(100):
         g = _random_graph(rng, 7, 16)
@@ -342,12 +346,20 @@ def test_block_key_is_the_canonical_key_of_a_block():
             piece = submap(adj, part)
             block = _map_graph(piece)
             key = canonical_key(block)
-            assert _canonical_search([0] * len(piece), piece)[0] == key
+            found, _, _, order = _canonical_search([0] * len(piece), piece)
+            assert found == key
             degrees = [sum(row.values()) for row in piece]
             if block.edge_count > len(piece) > 2 and 2 not in degrees:
                 memo = {}
                 tutte_deletion_contraction(block, cache=memo)
+                # the copy in the order of the minimum leaf: its label-order
+                # bytes are the key
+                position = {v: i for i, v in enumerate(order)}
+                copy = [{position[w]: m for w, m in piece[v].items()} for v in order]
+                chosen.clear()
+                tutte_deletion_contraction(_map_graph(copy), cache=memo)
                 assert key in {k for _, k in memo}
+                assert not chosen
                 keyed += 1
     assert keyed
 
@@ -524,6 +536,50 @@ def test_pruned_search_separates_refinement_blind_pairs(pair, doubled):
     for g, key in zip(members, keys):
         for _ in range(20):
             assert canonical_key(shuffled_copy(g, rng)) == key
+
+
+def _disjoint(parts) -> MultiGraph:
+    """The disjoint union of ``parts``, numbered one after another."""
+    endpoints, start = [], 0
+    for g in parts:
+        endpoints += [(u + start, v + start) for u, v in g.endpoints]
+        start += g.vertex_count
+    return MultiGraph(start, tuple(endpoints))
+
+
+def test_canonical_key_of_disconnected_multigraphs_ignores_labels():
+    # components searched one by one, some of them isomorphic: the key is
+    # the same for every relabelling, and matches the full search's
+    rng = random.Random(17)
+    for _ in range(150):
+        parts = [random_multigraph(rng, max_vertices=4, max_edges=6) for _ in range(rng.randint(2, 4))]
+        parts += [shuffled_copy(parts[0], rng)] * rng.randint(0, 2)
+        rng.shuffle(parts)
+        g = _disjoint(parts)
+        assert component_count(g) >= 2
+        key = canonical_key(g)
+        assert key == canonical_key_by_full_search(g)
+        for _ in range(3):
+            assert canonical_key(shuffled_copy(g, rng)) == key
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        [named_graph("cycle", 6)] * 50,
+        [named_graph("petersen")] * 8,
+        [MultiGraph(1)] * 500,
+    ],
+    ids=["50-cycles", "8-petersen", "500-isolated"],
+)
+def test_canonical_key_of_many_isomorphic_components_is_fast(parts):
+    # one search per component, so the swaps of isomorphic components
+    # never reach a search
+    g = shuffled_copy(_disjoint(parts), random.Random(len(parts)))
+    started = time.perf_counter()
+    key = canonical_key(g)
+    assert time.perf_counter() - started < 2.0
+    assert key == canonical_key(_disjoint(parts))
 
 
 # -- named graphs -----------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphperiod import invariants
-from graphperiod.families import loop_parallel_variants, random_multigraph
 from graphperiod.graphs import (
     MultiGraph,
     is_connected,
@@ -39,7 +38,10 @@ from conftest import (
     delete_edge_ids,
     dodecahedron,
     ladder,
+    loop_parallel_variants,
     parse_polynomial,
+    random_multigraph,
+    shuffled_copy,
     tutte_from_negami,
 )
 
@@ -283,6 +285,62 @@ def test_memo_entries_belong_to_blocks():
         entries = dict(shared)
         compute(glued, cache=shared)
         assert shared == entries
+
+
+def _counting_chooser(monkeypatch, fail_at=None):
+    """Count the recursion's edge choices, and raise on the ``fail_at``-th."""
+    calls = []
+    choose = invariants._default_chooser
+
+    def chooser(adj):
+        calls.append(adj)
+        if len(calls) == fail_at:
+            raise RuntimeError("interrupted")
+        return choose(adj)
+
+    monkeypatch.setattr(invariants, "_default_chooser", chooser)
+    return calls
+
+
+def test_relabelled_copies_share_the_first_ones_value(monkeypatch):
+    # the first petersen parks its block under its degree sequence; each
+    # later copy keys both canonically and finds the value without a split
+    rng = random.Random(41)
+    copies = [shuffled_copy(named_graph("petersen"), rng) for _ in range(4)]
+    expected = tutte_deletion_contraction(copies[0], cache={})
+    calls = _counting_chooser(monkeypatch)
+    shared = {}
+    chosen = []
+    for g in copies:
+        calls.clear()
+        assert tutte_deletion_contraction(g, cache=shared) == expected
+        chosen.append(len(calls))
+    assert chosen[0] > 0 and chosen[1:] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, 3, 5, 8])
+def test_an_interrupted_recursion_leaves_the_memo_sound(monkeypatch, fail_at):
+    # a split cut short leaves only finished blocks in the memo, so a later
+    # block of a parked shape finds every parked value it keys
+    rng = random.Random(fail_at)
+    petersen = named_graph("petersen")
+    graphs = [
+        petersen,
+        shuffled_copy(petersen, rng),
+        one_point_join(petersen, named_graph("complete", 5)),
+        shuffled_copy(named_graph("complete", 5), rng),
+    ]
+    computes = (tutte_deletion_contraction, chromatic_deletion_contraction)
+    expected = [tuple(compute(g, cache={}) for compute in computes) for g in graphs]
+    shared = {}
+    for compute in computes:
+        # petersen takes 18 choices on the Tutte line and 9 on y = 0
+        _counting_chooser(monkeypatch, fail_at)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            compute(shuffled_copy(petersen, rng), cache=shared)
+        monkeypatch.undo()
+    for g, pair in zip(graphs, expected):
+        assert tuple(compute(g, cache=shared) for compute in computes) == pair
 
 
 @pytest.mark.parametrize("tutte_first", [True, False], ids=["tutte-first", "chromatic-first"])

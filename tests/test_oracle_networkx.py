@@ -11,7 +11,6 @@ import pytest
 nx = pytest.importorskip("networkx")
 sympy = pytest.importorskip("sympy")
 
-from graphperiod.families import random_multigraph  # noqa: E402
 from graphperiod.graphs import MultiGraph, _adjacency, blocks  # noqa: E402
 from graphperiod.invariants import (  # noqa: E402
     CHROMATIC_VARS,
@@ -21,7 +20,12 @@ from graphperiod.invariants import (  # noqa: E402
 )
 from graphperiod.polynomials import Polynomial  # noqa: E402
 from graphperiod.symmetry import enumerate_automorphisms, find_free_period  # noqa: E402
-from conftest import SYMMETRIC_CUBIC_LCF, lcf_graph, shuffled_copy  # noqa: E402
+from conftest import (  # noqa: E402
+    SYMMETRIC_CUBIC_LCF,
+    lcf_graph,
+    random_multigraph,
+    shuffled_copy,
+)
 
 X, Y = sympy.symbols("x y")
 

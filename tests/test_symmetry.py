@@ -8,11 +8,7 @@ import pytest
 
 from graphperiod import criteria, symmetry
 from graphperiod.graphs import MultiGraph, canonical_key, named_graph, parse_edge_list
-from graphperiod.families import (
-    connected_simple_graphs,
-    loop_parallel_variants,
-    random_multigraph,
-)
+from graphperiod.families import connected_simple_graphs
 from graphperiod.symmetry import (
     Automorphism,
     NotAFreePeriodError,
@@ -30,6 +26,8 @@ from conftest import (
     free_edge_perm_by_class_orbits,
     free_period_by_enumeration,
     lcf_graph,
+    loop_parallel_variants,
+    random_multigraph,
     shuffled_copy,
 )
 
