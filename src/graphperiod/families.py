@@ -4,7 +4,7 @@ from __future__ import annotations
 
 # canonical_key is not called here, but the benchmark's tracer
 # (perfbench/spans.py) wraps it on this module by name, so it stays imported.
-from .graphs import MultiGraph, _canonical_search, canonical_key  # noqa: F401
+from .graphs import MultiGraph, _canonical_search, _closure, canonical_key  # noqa: F401
 
 
 def connected_simple_graphs(max_vertices: int):
@@ -57,9 +57,9 @@ def connected_simple_graphs(max_vertices: int):
 
 
 def _orbit_representatives(n: int, automorphisms):
-    """The smallest mask of each orbit of the group the vertex maps
-    ``automorphisms`` generate, acting on the nonempty subsets of 0..n-1 as
-    bitmasks, in increasing order."""
+    """The smallest mask of each orbit of the vertex maps ``automorphisms``
+    on the nonempty subsets of 0..n-1 as bitmasks, in increasing order; an
+    orbit is the ``graphs._closure`` of its smallest mask."""
     full = 1 << n
     if not automorphisms:
         return range(1, full)
@@ -70,20 +70,10 @@ def _orbit_representatives(n: int, automorphisms):
             low = mask & -mask
             image[mask] = image[mask ^ low] | 1 << gamma[low.bit_length() - 1]
         images.append(image)
-    covered = bytearray(full)
+    covered = set()
     out = []
     for mask in range(1, full):
-        if covered[mask]:
-            continue
-        out.append(mask)
-        covered[mask] = 1
-        stack = [mask]
-        while stack:
-            x = stack.pop()
-            for image in images:
-                y = image[x]
-                if not covered[y]:
-                    covered[y] = 1
-                    stack.append(y)
+        if mask not in covered:
+            out.append(mask)
+            covered |= _closure({mask}, images)
     return out
-

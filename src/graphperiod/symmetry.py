@@ -174,17 +174,17 @@ def _vertex_automorphisms(root, *, period=None):
     multiplicities, in vertex-lexicographic order, by backtracking from
     the search root ``root`` of a graph (see ``_search_root``).
 
-    Vertex k is placed on the unplaced vertices of its colour, ascending,
-    that keep its multiplicities to 0..k-1.  The domain colouring
-    ``levels[k]`` has 0..k-1 individualised and refined in turn, the image
-    colouring their images; the colours are label-free, so a placement
-    after which the two sort differently is cut.  Where individualising k
-    splits off only k, neither side is split: on a branch that extends,
-    the image side splits off only the image.  ``first`` keeps the image
-    side's split of the root colouring for every search on the root.  The
-    root outlives the search, so each is extended only with finished
-    entries: a search stopped by the budget or an interrupt leaves it
-    whole.
+    Vertex k is placed on the unplaced vertices of its colour in its root
+    cell, ascending, that keep its multiplicities to 0..k-1.  The domain
+    colouring ``levels[k]`` has 0..k-1 individualised and refined in turn,
+    the image colouring their images; the colours are label-free, so a
+    placement after which the two sort differently is cut.  Where
+    individualising k splits off only k, neither side is split: on a
+    branch that extends, the image side splits off only the image.
+    ``first`` keeps the image side's split of the root colouring for every
+    search on the root.  The root outlives the search, so each is extended
+    only with finished entries: a search stopped by the budget or an
+    interrupt leaves it whole.
 
     With a prime ``period`` p every branch that cannot extend to a free
     action of order p is cut as well, and the search yields nothing when
@@ -219,7 +219,9 @@ def _vertex_automorphisms(root, *, period=None):
                     deeper = _individualise(adj, loops, here, k)
                     break
             levels.append(deeper)
-        for w in cells[k] if colors is levels[0] else range(n):
+        # both sides refine the root colouring, monotone in its colours,
+        # and sort alike, so a vertex of k's colour lies in k's root cell
+        for w in cells[k]:
             if colors[w] != here[k] or preimage[w] != -1:
                 continue
             row_w = adj[w]
@@ -380,9 +382,10 @@ def find_free_period(g: MultiGraph, p: int, *, limit=DEFAULT_VERTEX_LIMIT):
     """First automorphism (in vertex-lexicographic order) of order exactly p
     whose edge permutation has no fixed point, or None.
 
-    The search stops at the first witness instead of listing Aut(G).  The
-    identity vertex permutation is considered too: parallel classes of
-    multiplicity divisible by p admit a free edge action on their own.
+    The search stops at its first map, which is a witness: it cuts every
+    map that fixes an edge class of multiplicity not divisible by p, and
+    ``_free_edge_perm`` cycles the others, even under the identity.  Only
+    the identity of an edgeless graph is skipped.
 
     Raises OracleLimitError above ``limit`` vertices, at every prime p.
     Every edge orbit of a free action has p edges, so the answer is None
@@ -397,11 +400,8 @@ def find_free_period(g: MultiGraph, p: int, *, limit=DEFAULT_VERTEX_LIMIT):
         return None  # every edge orbit of a free action has p edges
     identity_v = tuple(range(g.vertex_count))
     for vp in _vertex_automorphisms(_search_root(g), period=p):
-        if vp == identity_v and g.edge_count == 0:
-            continue  # the identity pair has order 1, not p
-        ep = _free_edge_perm(g, vp, p)
-        if ep is not None:
-            return Automorphism(vp, ep)
+        if vp != identity_v or g.edge_count:  # the identity pair has order 1
+            return Automorphism(vp, _free_edge_perm(g, vp, p))
     return None
 
 

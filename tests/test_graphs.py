@@ -20,6 +20,7 @@ from graphperiod.graphs import (
     MultiGraph,
     _adjacency,
     _canonical_search,
+    _individualise,
     _refine,
     blocks,
     canonical_key,
@@ -511,6 +512,27 @@ def test_canonical_key_matches_full_search_on_symmetric_graphs(name):
 
 def _two_triangles():
     return MultiGraph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
+
+
+def test_refinement_keeps_the_order_of_the_input_colours():
+    # the automorphism search takes vertex k's images from k's root cell
+    # only: that holds because no refinement reorders two input colours
+    rng = random.Random(20261022)
+    checked = 0
+    for _ in range(300):
+        g = random_multigraph(rng, max_vertices=8, max_edges=16)
+        n = g.vertex_count
+        loops, adj = _adjacency(g)
+        colors = [rng.randrange(3) for _ in range(n)]
+        outs = [_refine(n, adj, loops, colors)]
+        outs += [_individualise(adj, loops, colors, v) for v in range(n)]
+        for out in outs:
+            for u in range(n):
+                for v in range(n):
+                    if colors[u] < colors[v]:
+                        assert out[u] < out[v], (g, colors, out)
+                        checked += 1
+    assert checked > 10_000
 
 
 REFINEMENT_BLIND_PAIRS = {

@@ -204,6 +204,26 @@ def test_free_edge_perm_matches_class_orbit_walk(small_connected_family, p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
+def test_every_map_of_the_period_search_has_a_free_edge_perm(small_connected_family, p):
+    # find_free_period returns the period search's first map, so the search
+    # must cut every map that fixes an edge class p does not divide
+    rng = random.Random(20261020)
+    graphs = list(connected_simple_graphs(7))
+    graphs += [v for g in small_connected_family for v in loop_parallel_variants(g)]
+    graphs += [random_multigraph(rng, max_vertices=7, max_edges=14) for _ in range(500)]
+    moved = blocks = 0
+    for g in graphs:
+        edge_index = symmetry._edge_index(g)
+        for vp in symmetry._vertex_automorphisms(symmetry._search_root(g), period=p):
+            assert symmetry._free_edge_perm(g, vp, p) is not None, (g, vp, p)
+            moved += vp != tuple(range(g.vertex_count))
+            induced = symmetry._induced_edge_perm(edge_index, vp)
+            blocks += any(e == f for e, f in enumerate(induced))
+    # moved maps, and maps whose fixed classes are cycled in blocks of p
+    assert moved > 1000 and blocks
+
+
+@pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("n", [0, 3])
 def test_search_matches_enumeration_on_edgeless(n, p):
     _assert_same_witness(MultiGraph(n), p)
