@@ -16,6 +16,7 @@ work on the map.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import combinations
 from operator import attrgetter, index
 
 
@@ -179,78 +180,74 @@ def render_edge_list(g: MultiGraph) -> str:
 
 # -- named graphs --------------------------------------------------------
 
-NAMED_GRAPHS = ("empty", "path", "cycle", "complete", "theta", "petersen", "frucht")
+# name -> (least k, size, edges) of each one-parameter family: size(k) gives
+# member k's vertex and edge counts, checked before edges(k) lists its edge
+# pairs.  k counts vertices, except theta's, which counts edges.
+_FAMILIES = {
+    "empty": (0, lambda n: (n, 0), lambda n: ()),
+    "path": (1, lambda n: (n, n - 1), lambda n: [(i, i + 1) for i in range(n - 1)]),
+    "cycle": (2, lambda n: (n, n), lambda n: [(i, (i + 1) % n) for i in range(n)]),
+    "complete": (1, lambda n: (n, n * (n - 1) // 2), lambda n: combinations(range(n), 2)),
+    "theta": (1, lambda k: (2, k), lambda k: [(0, 1)] * k),
+}
 
-# 12-cycle chord offsets for the rigid cubic graph on 12 vertices.
-FRUCHT_LCF = (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)
+# name -> (n, offsets): the rigid Frucht graph and symmetric graphs of the
+# Foster census (Bouwer et al., 1988) by their LCF codes (Frucht, 1977): the
+# n-cycle with each vertex i also joined to i + offsets[i % len(offsets)].
+_LCF = {
+    "frucht": (12, (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)),
+    "heawood": (14, (5, -5)),
+    "mobius-kantor": (16, (5, -5)),
+    "pappus": (18, (5, 7, -7, 7, -7, -5)),
+    "desargues": (20, (5, -5, 9, -9)),
+    "dodecahedron": (20, (10, 7, 4, -4, -7, 10, -4, 7, -7, 4)),
+    "nauru": (24, (5, -9, 7, -7, 9, -5)),
+    "f26a": (26, (-7, 7)),
+    "tutte-coxeter": (30, (-13, -9, 7, -7, 9, 13)),
+}
+
+NAMED_GRAPHS = (*_FAMILIES, "petersen", *_LCF)
 
 
 def named_graph(name: str, *params: int) -> MultiGraph:
     """Build one of NAMED_GRAPHS: empty n, path n, cycle n, complete n,
-    theta k, petersen, frucht.  Parameters count vertices (theta counts edges).
-    Sizes beyond MAX_VERTICES / MAX_EDGES raise GraphTooLargeError before
-    any edge is built; a parameter that is not an integer raises
-    ValueError."""
+    theta k, or, with no parameter, petersen or a graph of _LCF.
+    Parameters count vertices (theta counts edges).  Sizes beyond
+    MAX_VERTICES / MAX_EDGES raise GraphTooLargeError before any edge is
+    built; a parameter that is not an integer raises ValueError."""
     try:
         params = tuple(index(p) for p in params)
     except TypeError:
         raise ValueError(f"{name!r} parameters must be integers, got {params!r}") from None
 
-    def need(count):
-        if len(params) != count:
-            raise ValueError(f"{name!r} takes {count} parameter(s), got {len(params)}")
-
-    if name == "empty":
-        need(1)
-        if params[0] < 0:
-            raise ValueError("empty n requires n >= 0")
-        _check_size(params[0], 0)
-        return MultiGraph(params[0])
-    if name == "path":
-        need(1)
-        n = params[0]
-        if n < 1:
-            raise ValueError("path n requires n >= 1")
-        _check_size(n, n - 1)
-        return MultiGraph(n, tuple((i, i + 1) for i in range(n - 1)))
-    if name == "cycle":
-        need(1)
-        n = params[0]
-        if n < 2:
-            raise ValueError("cycle n requires n >= 2")
-        _check_size(n, n)
-        return MultiGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
-    if name == "complete":
-        need(1)
-        n = params[0]
-        if n < 1:
-            raise ValueError("complete n requires n >= 1")
-        _check_size(n, n * (n - 1) // 2)
-        return MultiGraph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
-    if name == "theta":
-        need(1)
-        k = params[0]
-        if k < 1:
-            raise ValueError("theta k requires k >= 1")
-        _check_size(2, k)
-        return MultiGraph(2, ((0, 1),) * k)
+    if name not in NAMED_GRAPHS:
+        raise ValueError(
+            f"unknown graph name {name!r}; expected one of {', '.join(NAMED_GRAPHS)}"
+        )
+    arity = 1 if name in _FAMILIES else 0
+    if len(params) != arity:
+        raise ValueError(f"{name!r} takes {arity} parameter(s), got {len(params)}")
+    if name in _LCF:
+        return _lcf_graph(*_LCF[name])
     if name == "petersen":
-        need(0)
         outer = [(i, (i + 1) % 5) for i in range(5)]
         spokes = [(i, i + 5) for i in range(5)]
         inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
         return MultiGraph(10, tuple(outer + spokes + inner))
-    if name == "frucht":
-        need(0)
-        cycle = [(i, (i + 1) % 12) for i in range(12)]
-        chords = set()
-        for i, offset in enumerate(FRUCHT_LCF):
-            j = (i + offset) % 12
-            chords.add((min(i, j), max(i, j)))
-        return MultiGraph(12, tuple(cycle + sorted(chords)))
-    raise ValueError(
-        f"unknown graph name {name!r}; expected one of {', '.join(NAMED_GRAPHS)}"
-    )
+    least, size, edges = _FAMILIES[name]
+    k = params[0]
+    if k < least:
+        letter = "k" if name == "theta" else "n"
+        raise ValueError(f"{name} {letter} requires {letter} >= {least}")
+    vertices, edge_count = size(k)
+    _check_size(vertices, edge_count)
+    return MultiGraph(vertices, tuple(edges(k)))
+
+
+def _lcf_graph(n, offsets):
+    """An _LCF row's graph: the n-cycle's edges, then the sorted chords."""
+    chords = {tuple(sorted((i, (i + offsets[i % len(offsets)]) % n))) for i in range(n)}
+    return MultiGraph(n, tuple([(i, (i + 1) % n) for i in range(n)] + sorted(chords)))
 
 
 # -- structural operations ------------------------------------------------

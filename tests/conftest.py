@@ -23,6 +23,7 @@ from graphperiod.invariants import CHROMATIC_VARS, TUTTE_SHIFTED_VARS
 from graphperiod.polynomials import ModPolynomial, Polynomial, substitute
 from graphperiod.symmetry import (
     Automorphism,
+    _free_edge_perm,
     automorphism_from_vertex_perm,
     enumerate_automorphisms,
 )
@@ -459,6 +460,36 @@ def first_seen_connected_simple_graphs(max_vertices: int):
         level = grown
 
 
+# -- periodic graphs by construction ---------------------------------------------
+
+
+def periodic_lift(p: int, lifted: int, fixed: int, edges):
+    """(g, h): the Z_p lift g of a quotient multigraph and its free period h
+    of order p (Gross & Tucker, "Generating all graph coverings by
+    permutation voltage assignments", 1977).
+
+    Quotient vertices 0..lifted-1 are lifted and the ``fixed`` after them
+    are fixed; no edge joins two fixed vertices, which h would fix.  Lifted
+    u becomes the p vertices (u, i) = u * p + i, i in Z_p, and a fixed
+    vertex one vertex after those.  Each quotient edge (u, v, a), with
+    voltage a in Z_p, gives the p edges (u, i)(v, i + a), reading (f, i) as
+    f for a fixed f: so p loops at f for a loop (f, f, a).
+    h sends (u, i) to (u, i + 1) and fixes the fixed vertices.  Its edge
+    permutation is ``symmetry._free_edge_perm``'s: the induced one, with
+    the loops at a fixed vertex cycled, which the induced one fixes."""
+
+    def vertex(u, i):
+        return u * p + i % p if u < lifted else lifted * (p - 1) + u
+
+    endpoints = []
+    for u, v, a in edges:
+        endpoints += [(vertex(u, i), vertex(v, i + a)) for i in range(p)]
+    g = MultiGraph(lifted * p + fixed, tuple(endpoints))
+    vp = tuple(vertex(u, i + 1) for u in range(lifted) for i in range(p))
+    vp += tuple(range(lifted * p, g.vertex_count))
+    return g, Automorphism(vp, _free_edge_perm(g, vp, p))
+
+
 # -- symmetric graphs, where colour refinement alone leaves large cells --------
 
 
@@ -473,30 +504,6 @@ def shuffled_copy(g: MultiGraph, rng: random.Random) -> MultiGraph:
     for e, (u, v) in enumerate(g.endpoints):
         endpoints[eperm[e]] = (vperm[u], vperm[v])
     return MultiGraph(g.vertex_count, tuple(endpoints))
-
-
-# symmetric cubic graphs of the Foster census: name -> (n, LCF pattern)
-SYMMETRIC_CUBIC_LCF = {
-    "mobius-kantor": (16, (5, -5)),
-    "pappus": (18, (5, 7, -7, 7, -7, -5)),
-    "desargues": (20, (5, -5, 9, -9)),
-    "nauru": (24, (5, -9, 7, -7, 9, -5)),
-    "f26a": (26, (-7, 7)),
-    "tutte-coxeter": (30, (-13, -9, 7, -7, 9, 13)),
-}
-
-
-def lcf_graph(n: int, pattern) -> MultiGraph:
-    """Hamiltonian cubic graph from LCF notation."""
-    edges = {(i, (i + 1) % n) for i in range(n)}
-    for i in range(n):
-        j = (i + pattern[i % len(pattern)]) % n
-        edges.add((min(i, j), max(i, j)))
-    return MultiGraph(n, tuple(sorted(edges)))
-
-
-def dodecahedron() -> MultiGraph:
-    return lcf_graph(20, (10, 7, 4, -4, -7, 10, -4, 7, -7, 4))
 
 
 def hypercube(d: int) -> MultiGraph:
@@ -561,11 +568,11 @@ def symmetric_graphs() -> dict:
     """Vertex-transitive graphs on which refinement splits nothing."""
     return {
         "petersen": named_graph("petersen"),
-        "heawood": lcf_graph(14, (5, -5)),
+        "heawood": named_graph("heawood"),
         "Q4": hypercube(4),
         "K3,3": complete_bipartite(3, 3),
         "K4,4": complete_bipartite(4, 4),
-        "dodecahedron": dodecahedron(),
+        "dodecahedron": named_graph("dodecahedron"),
         "rook4x4": rook_4x4(),
         "shrikhande": shrikhande(),
     }

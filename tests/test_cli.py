@@ -11,6 +11,7 @@ from graphperiod.cli import main
 from graphperiod.criteria import REPORT_SCHEMA, SoundnessError
 from graphperiod.graphs import named_graph
 from graphperiod.polynomials import reduce_mod_p
+from graphperiod.symmetry import Automorphism, validate_free_period
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -222,6 +223,19 @@ def test_oracle_find_period(capsys):
     assert sorted(payload["automorphism"]["vertex_perm"]) == list(range(10))
     code, _, _ = run(capsys, "oracle", "find-period", "--graph", "frucht", "--p", "3")
     assert code == 1
+
+
+def test_oracle_find_period_on_a_census_graph(capsys):
+    code, out, _ = run(
+        capsys, "oracle", "find-period", "--graph", "nauru", "--p", "3", "--json"
+    )
+    assert code == 0
+    witness = json.loads(out)["automorphism"]
+    h = Automorphism(witness["vertex_perm"], witness["edge_perm"])
+    validate_free_period(named_graph("nauru"), h, 3)
+    code, out, err = run(capsys, "oracle", "find-period", "--graph", "nauru:3", "--p", "3")
+    assert code == 2 and out == ""
+    assert err == "error: 'nauru' takes 0 parameter(s), got 1\n"
 
 
 @pytest.mark.parametrize(

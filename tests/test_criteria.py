@@ -4,6 +4,8 @@ import argparse
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from graphperiod import cli, criteria, graphs
 from graphperiod.graphs import is_connected, named_graph, parse_edge_list
@@ -32,8 +34,10 @@ from graphperiod.polynomials import ModPolynomial, Polynomial, reduce_mod_p
 from graphperiod.symmetry import find_free_period, validate_free_period
 from conftest import (
     cycle_rotation,
+    periodic_lift,
     periodicity_survey,
     random_multigraph,
+    shuffled_copy,
     tutte_from_negami,
 )
 
@@ -398,3 +402,67 @@ def test_render_report_mentions_verdict_and_violations():
     text = render_report(report)
     assert "verdict: fail" in text
     assert "violations:" in text
+
+
+# -- Z_p lifts: periodic graphs by construction ------------------------------------
+
+# the most edges of a lift.  At 24, the period search alone takes over a
+# second on some trees at p = 7 (a fixed hub whose 7 legs each fork into
+# two leaves: 63,050 search nodes), and 200 examples took up to 13 s
+LIFT_EDGES = 20
+
+
+@st.composite
+def lifts(draw):
+    """(g, h, p): the Z_p lift of a connected quotient with at most
+    LIFT_EDGES // p edges, and its free period.  Every quotient vertex
+    after the first joins an earlier one, a lifted one if it is fixed, and
+    the other edges join a lifted vertex to any vertex or put a loop at a
+    fixed one."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    budget = LIFT_EDGES // p
+    lifted = draw(st.integers(1, budget))
+    fixed = draw(st.integers(0, budget + 1 - lifted))
+    voltage = st.integers(0, p - 1)
+    edges = [
+        (draw(st.integers(0, min(v, lifted) - 1)), v, draw(voltage))
+        for v in range(1, lifted + fixed)
+    ]
+    for _ in range(draw(st.integers(0, budget - len(edges)))):
+        if fixed and draw(st.booleans()):
+            f = draw(st.integers(lifted, lifted + fixed - 1))
+            edges.append((f, f, 0))
+        else:
+            u = draw(st.integers(0, lifted - 1))
+            edges.append((u, draw(st.integers(0, lifted + fixed - 1)), draw(voltage)))
+    g, h = periodic_lift(p, lifted, fixed, edges)
+    return g, h, p
+
+
+def _lift_verdicts(g, h, p):
+    reports = exclusion_report(g, [p]) + [
+        check(g, h, p)
+        for check in (
+            check_negami_quotient_congruence,
+            check_tutte_quotient_congruence,
+            check_chromatic_vanishing,
+        )
+    ]
+    return [(report.criterion, report.verdict) for report in reports]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lifts(), st.randoms(use_true_random=False))
+def test_no_criterion_excludes_a_periodic_lift(lift, rng):
+    g, h, p = lift
+    assume(is_connected(g))
+    assert g.vertex_count <= 32 and g.edge_count <= LIFT_EDGES
+    validate_free_period(g, h, p)
+    verdicts = _lift_verdicts(g, h, p)
+    assert {verdict for _, verdict in verdicts} == {"pass"}, verdicts
+    assert find_free_period(g, p) is not None
+    # a relabelled copy, with the search's own witness
+    copy = shuffled_copy(g, rng)
+    witness = find_free_period(copy, p)
+    assert witness is not None
+    assert _lift_verdicts(copy, witness, p) == verdicts

@@ -36,7 +36,6 @@ from conftest import (
     count_proper_colorings,
     count_spanning_trees,
     delete_edge_ids,
-    dodecahedron,
     ladder,
     loop_parallel_variants,
     parse_polynomial,
@@ -642,7 +641,7 @@ def test_necklace_of_digons():
 
 
 def test_dodecahedron_evaluations():
-    g = dodecahedron()
+    g = named_graph("dodecahedron")
     assert g.edge_count == 30
     degrees = Counter(v for pair in g.endpoints for v in pair)
     assert degrees == dict.fromkeys(range(20), 3)

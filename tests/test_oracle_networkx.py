@@ -11,7 +11,7 @@ import pytest
 nx = pytest.importorskip("networkx")
 sympy = pytest.importorskip("sympy")
 
-from graphperiod.graphs import MultiGraph, _adjacency, blocks  # noqa: E402
+from graphperiod.graphs import _LCF, MultiGraph, _adjacency, blocks, named_graph  # noqa: E402
 from graphperiod.invariants import (  # noqa: E402
     CHROMATIC_VARS,
     TUTTE_CLASSIC_VARS,
@@ -21,8 +21,6 @@ from graphperiod.invariants import (  # noqa: E402
 from graphperiod.polynomials import Polynomial  # noqa: E402
 from graphperiod.symmetry import enumerate_automorphisms, find_free_period  # noqa: E402
 from conftest import (  # noqa: E402
-    SYMMETRIC_CUBIC_LCF,
-    lcf_graph,
     random_multigraph,
     shuffled_copy,
 )
@@ -93,12 +91,42 @@ def test_blocks_match_networkx_biconnected_components():
     assert split
 
 
+# networkx's own constructions of the LCF graphs that it has
+NETWORKX_GRAPHS = {
+    "frucht": nx.frucht_graph,
+    "heawood": nx.heawood_graph,
+    "mobius-kantor": nx.moebius_kantor_graph,
+    "pappus": nx.pappus_graph,
+    "desargues": nx.desargues_graph,
+    "dodecahedron": nx.dodecahedral_graph,
+}
+
+
+def test_lcf_graphs_match_networkx():
+    # each is simple, cubic and connected with the known girth, and is
+    # networkx's graph, or else networkx's LCF_graph of the same code
+    girths = []
+    for name, (n, offsets) in _LCF.items():
+        g = named_graph(name)
+        h = nx.Graph(g.endpoints)
+        assert sorted(h) == list(range(n)) and h.number_of_edges() == g.edge_count
+        assert nx.number_of_selfloops(h) == 0 and nx.is_connected(h)
+        assert {d for _, d in h.degree} == {3}
+        girths.append(nx.girth(h))
+        if name in NETWORKX_GRAPHS:
+            expected = NETWORKX_GRAPHS[name]()
+        else:
+            expected = nx.LCF_graph(n, offsets, n // len(offsets))
+        assert nx.is_isomorphic(h, expected), name
+    assert girths == [3, 6, 6, 6, 6, 5, 6, 6, 8]
+
+
 def symmetry_cases():
     """Four symmetric cubic graphs in shuffled labels, and three seeded
     random cubic graphs on 20 vertices in networkx's labels."""
     rng = random.Random(2014)
     out = [
-        (name, shuffled_copy(lcf_graph(*SYMMETRIC_CUBIC_LCF[name]), rng))
+        (name, shuffled_copy(named_graph(name), rng))
         for name in ("mobius-kantor", "pappus", "desargues", "nauru")
     ]
     for seed in range(3):

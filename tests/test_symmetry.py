@@ -21,11 +21,9 @@ from graphperiod.symmetry import (
     validate_automorphism,
 )
 from conftest import (
-    SYMMETRIC_CUBIC_LCF,
     cycle_rotation,
     free_edge_perm_by_class_orbits,
     free_period_by_enumeration,
-    lcf_graph,
     loop_parallel_variants,
     random_multigraph,
     shuffled_copy,
@@ -313,21 +311,22 @@ def _spider(legs, length):
     return MultiGraph(1 + legs * length, tuple(edges))
 
 
+# six symmetric cubic graphs of the Foster census among the named graphs,
+# and the primes at which each has a free period
+CENSUS_PERIODS = {
+    "mobius-kantor": {2, 3},
+    "pappus": {3},
+    "desargues": {2, 3, 5},
+    "nauru": {2, 3},
+    "f26a": {3},
+    "tutte-coxeter": {3, 5},
+}
+
 # name -> (graph in its own labels, the primes at which it has a free period)
 PERIODIC = {
     "cycle21": (named_graph("cycle", 21), {3, 7}),
     "cycle30": (named_graph("cycle", 30), {2, 3, 5}),
-    **{
-        name: (lcf_graph(*SYMMETRIC_CUBIC_LCF[name]), primes)
-        for name, primes in [
-            ("mobius-kantor", {2, 3}),
-            ("pappus", {3}),
-            ("desargues", {2, 3, 5}),
-            ("nauru", {2, 3}),
-            ("f26a", {3}),
-            ("tutte-coxeter", {3, 5}),
-        ]
-    },
+    **{name: (named_graph(name), primes) for name, primes in CENSUS_PERIODS.items()},
     # every automorphism fixes the hub of a star, wheel or spider, and no
     # free period fixes a pendant vertex of the sun
     "star20": (_star(20), {2, 5}),
@@ -342,7 +341,7 @@ LABEL_CASES = (
     [("cycle21", (3, 7), 5), ("cycle30", (5,), 5)]
     + [
         (name, PRIMES, 1 if name == "tutte-coxeter" else 5)
-        for name in SYMMETRIC_CUBIC_LCF
+        for name in CENSUS_PERIODS
     ]
     + [(name, PRIMES, 8) for name in ("star20", "star30", "wheel20", "sun10", "spider6x3")]
 )
@@ -470,7 +469,7 @@ def test_kept_root_answers_as_a_fresh_one():
     # turns, each starting from the root the one before it left
     rng = random.Random(40)
     a = shuffled_copy(named_graph("petersen"), rng)
-    b = shuffled_copy(lcf_graph(*SYMMETRIC_CUBIC_LCF["mobius-kantor"]), rng)
+    b = shuffled_copy(named_graph("mobius-kantor"), rng)
     a_copy = MultiGraph(a.vertex_count, a.endpoints)
     assert a_copy == a and a_copy is not a
     calls = [(g, p) for p in (2, 3, None, 5, 7) for g in (a, b, a_copy, a)]
